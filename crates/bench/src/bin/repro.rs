@@ -36,16 +36,16 @@
 //!   in a merged `utilization.json` of time-weighted means, peaks and
 //!   saturation metrics per point and per sweep.
 //!   The optional filter substring selects which sweeps record.
-//!   Tracing never changes `results/` — it is observational.
-//!   Cached points record nothing; pair with `--no-cache` for full
-//!   timelines.
+//!   Tracing never changes `results/` — it is observational. A traced
+//!   sweep never reads the cache (a cache hit records nothing), so its
+//!   artifacts always cover the whole grid.
 //! * `--baseline-record[=<path>]` — after the run, snapshot every
 //!   sweep's merged per-stage means (and per-workload-phase means
 //!   within each stage) plus the merged time-weighted utilization mean
 //!   of every counter track into a baseline JSON (default
-//!   `results/baselines/<profile>.json`). Implies `--no-cache` and
-//!   stage recording (without writing trace files unless `--trace` is
-//!   also given).
+//!   `results/baselines/<profile>.json`). Implies stage recording
+//!   (without writing trace files unless `--trace` is also given), and
+//!   with it simulating every point.
 //! * `--baseline-check[=<path>]` — compare the run's stage, phase and
 //!   counter-utilization means against the committed baseline with
 //!   per-band tolerances. Prints each offending delta — naming the
@@ -85,13 +85,7 @@ fn main() {
 
     let jobs = jobs_from_args(&args).unwrap_or_else(thymesim_sim::default_jobs);
     let baseline = baseline_from_args(&args, &profile);
-    // Cached points never run the simulator, so they record no stage
-    // histograms — baseline modes force the cache off to compare full
-    // grids.
-    // `blame` is a telemetry study: a cache hit would silently replay
-    // point results with no blame recorded, so it forces the cache off
-    // like the baseline modes do.
-    let cache = if args.iter().any(|a| a == "--no-cache") || baseline.is_some() || cmd == "blame" {
+    let cache = if args.iter().any(|a| a == "--no-cache") {
         None
     } else {
         let base = OUT_DIR
@@ -222,19 +216,28 @@ fn main() {
         if let Some(path) = bench_json_path(&args) {
             write_bench_json(&path, cmd, &profile, wall);
         }
-        if let Some(path) = thymesim_telemetry::write_summary() {
-            eprintln!("# wrote {}", path.display());
+        for (name, write) in ARTIFACTS {
+            write_artifact(name, write());
         }
-        if let Some(path) = thymesim_telemetry::write_attribution() {
-            eprintln!("# wrote {}", path.display());
-        }
-        write_artifact("utilization.json", thymesim_telemetry::write_utilization());
-        write_artifact("blame.json", thymesim_telemetry::write_blame());
         if let Some(mode) = baseline {
             run_baseline(mode, cmd, &profile);
         }
     }
 }
+
+/// Writes one merged telemetry artifact: the path, or `None` when
+/// there was nothing to write.
+type ArtifactWriter = fn() -> std::io::Result<Option<PathBuf>>;
+
+/// The merged telemetry artifacts, each with its writer.
+const ARTIFACTS: [(&str, ArtifactWriter); 4] = [
+    ("telemetry.json", || Ok(thymesim_telemetry::write_summary())),
+    ("attribution.json", || {
+        Ok(thymesim_telemetry::write_attribution())
+    }),
+    ("utilization.json", thymesim_telemetry::write_utilization),
+    ("blame.json", thymesim_telemetry::write_blame),
+];
 
 /// Report one merged telemetry artifact write, naming the full offending
 /// path on failure (the io::Error alone carries only the OS message).

@@ -16,9 +16,11 @@
 //!   must carry a workload-phase frame with a stage path below it
 //!   (`root;point_N;<phase>;read;gate_wait`).
 //! * `attribution.json` — per-stage shares/means: schema version,
-//!   shares in [0, 1] summing to 1 per attributed point, means
-//!   consistent with totals and counts, per-phase sub-slices summing
-//!   exactly to their stage and free of orphan phases.
+//!   full coverage (`traced_points == points` in every sweep, as in
+//!   the other two fold artifacts), shares in [0, 1] summing to 1 per
+//!   attributed point, means consistent with totals and counts,
+//!   per-phase sub-slices summing exactly to their stage and free of
+//!   orphan phases.
 //! * `utilization.json` — windowed counter folds: schema version,
 //!   name-sorted counters, fractions within [0, 1], saturation time
 //!   within coverage within horizon, means consistent with the integer
@@ -40,6 +42,51 @@
 
 use thymesim_telemetry::{attribution, blame, chrome, counters};
 
+/// One artifact family's checker: the `ok (...)` summary, or every
+/// failure found.
+type Checker = fn(&str) -> Result<String, Vec<String>>;
+
+/// File-name suffix → checker, first match wins; the empty suffix makes
+/// everything else a Chrome-trace timeline.
+const CHECKERS: [(&str, Checker); 5] = [
+    (".collapsed", |text| {
+        let stats = attribution::check_collapsed(text).map_err(|e| vec![e])?;
+        Ok(format!(
+            "ok ({} stacks over {} points / {} phase towers, {} ps total)",
+            stats.lines, stats.points, stats.phases, stats.total
+        ))
+    }),
+    ("attribution.json", |text| {
+        let stats = attribution::check_attribution(text)?;
+        Ok(format!(
+            "ok ({} sweeps, {} points, {} stage slices, {} phase slices)",
+            stats.sweeps, stats.points, stats.slices, stats.phases
+        ))
+    }),
+    ("blame.json", |text| {
+        let stats = blame::check_blame(text)?;
+        Ok(format!(
+            "ok ({} sweeps, {} points, {} resource reports, {} victims)",
+            stats.sweeps, stats.points, stats.resources, stats.victims
+        ))
+    }),
+    ("utilization.json", |text| {
+        let stats = counters::check_utilization(text)?;
+        Ok(format!(
+            "ok ({} sweeps, {} points, {} counter reports)",
+            stats.sweeps, stats.points, stats.counters
+        ))
+    }),
+    ("", |text| {
+        let stats = chrome::check_all(text)?;
+        Ok(format!(
+            "ok ({} events: {} spans, {} instants, {} counter samples, \
+             {} windowed utilization samples)",
+            stats.events, stats.spans, stats.instants, stats.counters, stats.util_counters
+        ))
+    }),
+];
+
 fn main() {
     let files: Vec<String> = std::env::args().skip(1).collect();
     if files.is_empty() {
@@ -59,48 +106,11 @@ fn main() {
                 continue;
             }
         };
-        let verdict: Result<String, Vec<String>> = if path.ends_with(".collapsed") {
-            attribution::check_collapsed(&text)
-                .map(|stats| {
-                    format!(
-                        "ok ({} stacks over {} points / {} phase towers, {} ps total)",
-                        stats.lines, stats.points, stats.phases, stats.total
-                    )
-                })
-                .map_err(|e| vec![e])
-        } else if path.ends_with("attribution.json") {
-            attribution::check_attribution(&text)
-                .map(|stats| {
-                    format!(
-                        "ok ({} sweeps, {} points, {} stage slices, {} phase slices)",
-                        stats.sweeps, stats.points, stats.slices, stats.phases
-                    )
-                })
-                .map_err(|e| vec![e])
-        } else if path.ends_with("blame.json") {
-            blame::check_blame(&text).map(|stats| {
-                format!(
-                    "ok ({} sweeps, {} points, {} resource reports, {} victims)",
-                    stats.sweeps, stats.points, stats.resources, stats.victims
-                )
-            })
-        } else if path.ends_with("utilization.json") {
-            counters::check_utilization(&text).map(|stats| {
-                format!(
-                    "ok ({} sweeps, {} points, {} counter reports)",
-                    stats.sweeps, stats.points, stats.counters
-                )
-            })
-        } else {
-            chrome::check_all(&text).map(|stats| {
-                format!(
-                    "ok ({} events: {} spans, {} instants, {} counter samples, \
-                     {} windowed utilization samples)",
-                    stats.events, stats.spans, stats.instants, stats.counters, stats.util_counters
-                )
-            })
-        };
-        match verdict {
+        let (_, check) = CHECKERS
+            .iter()
+            .find(|(suffix, _)| path.ends_with(suffix))
+            .expect("the empty suffix matches every path");
+        match check(&text) {
             Ok(msg) => println!("{path}: {msg}"),
             Err(errors) => {
                 eprintln!("{path}: INVALID ({} failure(s)):", errors.len());

@@ -17,8 +17,12 @@ use std::process::{Command, Output};
 use thymesim_telemetry::baseline::Baseline;
 
 fn repro(args: &[&str]) -> Output {
+    // Baseline modes simulate every point whatever the cache holds, but
+    // they still store results; `--no-cache` keeps the default
+    // `results/cache` out of the source tree.
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
+        .arg("--no-cache")
         .output()
         .expect("repro runs")
 }

@@ -147,13 +147,15 @@ where
 
     let simulated = AtomicUsize::new(0);
     let cached = AtomicUsize::new(0);
-    // Telemetry: each simulated point records on its own worker thread;
-    // cache hits record nothing (the simulation never ran). Traces come
-    // back in grid order with the results, so trace files are identical
-    // across `--jobs` settings. Workload phase identity lives inside
-    // the per-point recorder (the current phase is recorder state, not
-    // a global), so per-phase attribution inherits the same invariance
-    // for free.
+    // Telemetry: each simulated point records on its own worker thread.
+    // A cache hit never runs the simulation and so records nothing,
+    // which is why a traced sweep skips the cache *read* below (it
+    // still stores): every telemetry artifact covers the whole grid.
+    // Traces come back in grid order with the results, so trace files
+    // are identical across `--jobs` settings. Workload phase identity
+    // lives inside the per-point recorder (the current phase is
+    // recorder state, not a global), so per-phase attribution inherits
+    // the same invariance for free.
     let tracing = thymesim_telemetry::sweep_traced(name);
     let max_events = thymesim_telemetry::config().map_or(0, |c| c.max_events_per_point);
     let window_ps = thymesim_telemetry::config()
@@ -169,7 +171,7 @@ where
             seed: mix.next_u64(),
         };
         let point_started = Instant::now();
-        if let Some(dir) = &opts.cache {
+        if let Some(dir) = opts.cache.as_ref().filter(|_| !tracing) {
             if let Some(result) = load_cached::<R>(dir, name, *key, config) {
                 cached.fetch_add(1, Ordering::Relaxed);
                 progress(opts, name, ctx, point_started, true);

@@ -38,7 +38,8 @@ pub mod engine;
 pub mod failure;
 pub mod packet;
 pub mod pipeline;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod xlate;
 
 pub use control::{
@@ -50,6 +51,5 @@ pub use engine::{DelaySpec, FabricConfig, FabricEngine, FabricStats};
 pub use failure::{CorruptionPlan, Crash, HealthMonitor, OutagePlan};
 pub use packet::{DecodeError, Packet, PacketKind, BEAT_BYTES, HEADER_BYTES};
 pub use pipeline::{EgressPipeline, IngressPipeline, DEST_CTRL, DEST_DATA, DEST_FILL, DEST_MMIO};
-pub use reference::reference_completions;
 pub use thymesim_net::{shared_link, SharedLink};
 pub use xlate::{Segment, TranslationFault, XlateTable};

@@ -222,7 +222,7 @@ impl Actor for PathActor {
 
 /// Simulate sorted `arrivals` (one cache-line read each) through the
 /// event-driven reference; returns per-request completion times.
-pub fn reference_completions(
+fn reference_completions(
     cfg: &FabricConfig,
     dram: thymesim_mem::DramConfig,
     arrivals: &[Time],

@@ -6,6 +6,13 @@
 //! payload; actors schedule further events through [`Ctx`]. Heavier state
 //! rides inside the actors themselves, keeping events `Copy` and the queue
 //! allocation-free on the hot path.
+//!
+//! This engine is **not** the production scheduler. Production timing
+//! runs on `thymesim_fabric::FabricEngine`'s `next_free` timelines and
+//! the [`crate::process`] executor; the actor engine is the substrate
+//! of the test oracle that re-derives the remote-read path event by
+//! event (`thymesim-fabric`'s `#[cfg(test)] mod reference`) and proves
+//! the timeline engine against it.
 
 use crate::queue::EventQueue;
 use crate::time::Time;

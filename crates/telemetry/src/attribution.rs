@@ -40,6 +40,7 @@
 //! whatever order points were simulated in — `--jobs` is invisible,
 //! and the golden fixtures under `tests/golden/` stay stable.
 
+use crate::clamp;
 use crate::recorder::{Phase, PointTrace};
 use serde::Value;
 use thymesim_sim::Histogram;
@@ -204,13 +205,7 @@ impl StageSlice {
             ("p99_ps".into(), Value::U64(self.p99_ps)),
             ("p999_ps".into(), Value::U64(self.p999_ps)),
             ("max_ps".into(), Value::U64(self.max_ps)),
-            (
-                "share".into(),
-                match self.share {
-                    Some(s) => Value::F64(s),
-                    None => Value::Null,
-                },
-            ),
+            ("share".into(), self.share.map_or(Value::Null, Value::F64)),
             (
                 "phases".into(),
                 Value::Array(self.phases.iter().map(PhaseSlice::to_value).collect()),
@@ -346,10 +341,7 @@ impl PointAttribution {
         fields.push(("read_total_ps".into(), Value::U64(self.read_total_ps)));
         fields.push((
             "envelope_ps".into(),
-            match self.envelope_ps {
-                Some(e) => Value::U64(e),
-                None => Value::Null,
-            },
+            self.envelope_ps.map_or(Value::Null, Value::U64),
         ));
         fields.push((
             "phases".into(),
@@ -478,29 +470,17 @@ impl SweepAttribution {
     }
 
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("sweep".into(), Value::Str(self.sweep.clone())),
-            ("points".into(), Value::U64(self.points as u64)),
-            (
-                "traced_points".into(),
-                Value::U64(self.per_point.len() as u64),
-            ),
-            (
-                "per_point".into(),
-                Value::Array(
-                    self.per_point
-                        .iter()
-                        .map(PointAttribution::to_value)
-                        .collect(),
-                ),
-            ),
-            ("merged".into(), self.merged.to_value()),
-        ])
+        crate::sweep_value(
+            &self.sweep,
+            Vec::new(),
+            self.points,
+            self.per_point
+                .iter()
+                .map(PointAttribution::to_value)
+                .collect(),
+            self.merged.to_value(),
+        )
     }
-}
-
-fn clamp(v: u128) -> u64 {
-    u64::try_from(v).unwrap_or(u64::MAX)
 }
 
 // ---------------------------------------------------------- validators
@@ -580,152 +560,137 @@ pub struct AttributionCheck {
     pub phases: usize,
 }
 
-/// Structurally validate an `attribution.json`: schema version, shares
-/// in [0, 1] summing to 1 over each attributed point's anatomy, means
+/// Structurally validate an `attribution.json`, collecting **every**
+/// failure: the shared sweep envelope (see `walk_sweeps`), shares in
+/// [0, 1] summing to 1 over each attributed point's anatomy, means
 /// consistent with totals and counts, and — for the per-phase split —
 /// each slice's phase counts/totals summing *exactly* to the slice's
 /// (a phase sum exceeding its stage total is rejected), every slice
 /// phase present in the point's phase index (no orphans), and each
 /// index entry's `read_total_ps` equal to the sum of that phase's
 /// anatomy sub-totals.
-pub fn check_attribution(text: &str) -> Result<AttributionCheck, String> {
-    let root: Value = serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if root.get("schema").and_then(Value::as_u64) != Some(1) {
-        return Err("missing or unknown schema version".into());
-    }
-    let sweeps = root
-        .get("sweeps")
-        .and_then(Value::as_array)
-        .ok_or("missing sweeps array")?;
-    let mut out = AttributionCheck {
-        sweeps: sweeps.len(),
-        ..AttributionCheck::default()
-    };
-    for sweep in sweeps {
-        let name = sweep
-            .get("sweep")
-            .and_then(Value::as_str)
-            .ok_or("sweep entry missing name")?;
-        let per_point = sweep
-            .get("per_point")
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("{name}: missing per_point array"))?;
-        let merged = sweep
-            .get("merged")
-            .ok_or_else(|| format!("{name}: missing merged entry"))?;
+pub fn check_attribution(text: &str) -> Result<AttributionCheck, Vec<String>> {
+    let mut out = AttributionCheck::default();
+    let (sweeps, points) = crate::walk_sweeps(text, |name, _, per_point, merged, errors| {
         for p in per_point.iter().chain(std::iter::once(merged)) {
-            out.phases += check_point(name, p)?;
-            out.slices += p
-                .get("anatomy")
-                .and_then(Value::as_array)
-                .map_or(0, <[_]>::len)
-                + p.get("other")
-                    .and_then(Value::as_array)
-                    .map_or(0, <[_]>::len);
+            let (slices, phases) = check_point(name, p, errors);
+            out.slices += slices;
+            out.phases += phases;
         }
-        out.points += per_point.len();
-    }
-    Ok(out)
+    })?;
+    Ok(AttributionCheck {
+        sweeps,
+        points,
+        ..out
+    })
 }
 
-/// Validate the tail-quantile columns of one slice (stage or phase
-/// sub-slice): present, ordered `p99 ≤ p999 ≤ max`, and bounded by the
-/// slice's total. Histogram quantiles are bucket lower bounds, so the
-/// only exact invariants are the ordering ones.
-fn check_tails(ctx: &str, s: &Value, count: u64, total: u64) -> Result<(), String> {
-    let get = |field: &str| {
-        s.get(field)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{ctx}: missing {field}"))
+/// Read a required unsigned field; a missing one is recorded as a
+/// failure of `ctx`.
+fn need_u64(v: &Value, field: &str, ctx: &str, errors: &mut Vec<String>) -> Option<u64> {
+    let got = v.get(field).and_then(Value::as_u64);
+    if got.is_none() {
+        errors.push(format!("{ctx}: missing {field}"));
+    }
+    got
+}
+
+/// Validate the numbers every slice carries, stage slice and phase
+/// sub-slice alike: a mean consistent with total and count, and the
+/// tail-quantile columns present, ordered `p99 ≤ p999 ≤ max`, and
+/// bounded by the slice's total. Histogram quantiles are bucket lower
+/// bounds, so the only exact tail invariants are the ordering ones.
+/// Returns `(count, total_ps)` when both are present.
+fn check_slice(ctx: &str, s: &Value, errors: &mut Vec<String>) -> Option<(u64, u64)> {
+    let count = need_u64(s, "count", ctx, errors);
+    let total = need_u64(s, "total_ps", ctx, errors);
+    let mean = s.get("mean_ps").and_then(Value::as_f64);
+    if mean.is_none() {
+        errors.push(format!("{ctx}: missing mean_ps"));
+    }
+    let tails = ["p99_ps", "p999_ps", "max_ps"].map(|f| need_u64(s, f, ctx, errors));
+    let (count, total) = (count?, total?);
+    if let (Some(mean), true) = (mean, count > 0) {
+        let expect = total as f64 / count as f64;
+        if (mean - expect).abs() > 1e-6 * (1.0 + expect) {
+            errors.push(format!(
+                "{ctx}: mean {mean} inconsistent with total/count {expect}"
+            ));
+        }
+    }
+    if let [Some(p99), Some(p999), Some(max)] = tails {
+        if !(p99 <= p999 && p999 <= max) {
+            errors.push(format!(
+                "{ctx}: tail quantiles out of order (p99 {p99}, p999 {p999}, max {max})"
+            ));
+        }
+        if count > 0 && max > total {
+            errors.push(format!(
+                "{ctx}: max_ps {max} exceeds the slice total {total}"
+            ));
+        }
+    }
+    Some((count, total))
+}
+
+/// A phase entry's label; a missing or empty one is a failure of `ctx`.
+fn phase_label<'a>(e: &'a Value, ctx: &str, errors: &mut Vec<String>) -> Option<&'a str> {
+    let label = e
+        .get("phase")
+        .and_then(Value::as_str)
+        .filter(|l| !l.is_empty());
+    if label.is_none() {
+        errors.push(format!("{ctx}: phase entry with a missing or empty label"));
+    }
+    label
+}
+
+/// Validate one point entry; returns the number of stage slices and
+/// per-phase sub-slices it carries.
+fn check_point(sweep: &str, p: &Value, errors: &mut Vec<String>) -> (usize, usize) {
+    let read_total = need_u64(p, "read_total_ps", sweep, errors);
+    let list = |field: &str| p.get(field).and_then(Value::as_array);
+    let Some(anatomy) = list("anatomy") else {
+        errors.push(format!("{sweep}: point missing anatomy array"));
+        return (0, 0);
     };
-    let p99 = get("p99_ps")?;
-    let p999 = get("p999_ps")?;
-    let max = get("max_ps")?;
-    if !(p99 <= p999 && p999 <= max) {
-        return Err(format!(
-            "{ctx}: tail quantiles out of order (p99 {p99}, p999 {p999}, max {max})"
-        ));
-    }
-    if count > 0 && max > total {
-        return Err(format!(
-            "{ctx}: max_ps {max} exceeds the slice total {total}"
-        ));
-    }
-    Ok(())
-}
-
-/// Validate one point entry; returns the number of per-phase sub-slices
-/// it carries.
-fn check_point(sweep: &str, p: &Value) -> Result<usize, String> {
-    let read_total = p
-        .get("read_total_ps")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{sweep}: point missing read_total_ps"))?;
-    let anatomy = p
-        .get("anatomy")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{sweep}: point missing anatomy array"))?;
+    let others = list("other").unwrap_or(&[]);
     // The point's phase index: labels must be unique and non-empty;
     // slice phases are checked against this set (orphan detection) and
     // the per-phase anatomy totals must reproduce its read totals.
-    let mut phase_index: Vec<(String, u64)> = Vec::new();
-    for e in p
-        .get("phases")
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
-        .iter()
-    {
-        let label = e
-            .get("phase")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{sweep}: phase index entry missing label"))?;
-        if label.is_empty() {
-            return Err(format!("{sweep}: empty phase label in phase index"));
+    let mut phase_index: Vec<(&str, u64)> = Vec::new();
+    for e in list("phases").unwrap_or(&[]) {
+        let Some(label) = phase_label(e, &format!("{sweep}/phase index"), errors) else {
+            continue;
+        };
+        if phase_index.iter().any(|(l, _)| *l == label) {
+            errors.push(format!("{sweep}: duplicate phase {label:?} in phase index"));
+        } else if let Some(total) = need_u64(
+            e,
+            "read_total_ps",
+            &format!("{sweep}/phase {label}"),
+            errors,
+        ) {
+            phase_index.push((label, total));
         }
-        if phase_index.iter().any(|(l, _)| l == label) {
-            return Err(format!("{sweep}: duplicate phase {label:?} in phase index"));
-        }
-        let total = e
-            .get("read_total_ps")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{sweep}/phase {label}: missing read_total_ps"))?;
-        phase_index.push((label.to_string(), total));
     }
     let mut share_sum = 0.0;
     let mut total_sum = 0u128;
     let mut phase_slices = 0usize;
-    let mut anatomy_phase_totals: Vec<(String, u128)> = Vec::new();
-    let others = p.get("other").and_then(Value::as_array).unwrap_or(&[]);
+    let mut anatomy_phase_totals: Vec<(&str, u128)> = Vec::new();
     for (s, in_anatomy) in anatomy
         .iter()
         .map(|s| (s, true))
         .chain(others.iter().map(|s| (s, false)))
     {
         let stage = s.get("stage").and_then(Value::as_str).unwrap_or("?");
-        let count = s
-            .get("count")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{sweep}/{stage}: missing count"))?;
-        let total = s
-            .get("total_ps")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{sweep}/{stage}: missing total_ps"))?;
-        let mean = s
-            .get("mean_ps")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{sweep}/{stage}: missing mean_ps"))?;
-        if count > 0 {
-            let expect = total as f64 / count as f64;
-            if (mean - expect).abs() > 1e-6 * (1.0 + expect) {
-                return Err(format!(
-                    "{sweep}/{stage}: mean {mean} inconsistent with total/count {expect}"
-                ));
-            }
-        }
-        check_tails(&format!("{sweep}/{stage}"), s, count, total)?;
+        let ctx = format!("{sweep}/{stage}");
+        let Some((count, total)) = check_slice(&ctx, s, errors) else {
+            continue;
+        };
         if let Some(share) = s.get("share").and_then(Value::as_f64) {
             if !(0.0..=1.0).contains(&share) {
-                return Err(format!("{sweep}/{stage}: share {share} outside [0, 1]"));
+                errors.push(format!("{ctx}: share {share} outside [0, 1]"));
             }
             share_sum += share;
             total_sum += total as u128;
@@ -736,59 +701,33 @@ fn check_point(sweep: &str, p: &Value) -> Result<usize, String> {
         let mut phase_count_sum = 0u64;
         let mut phase_total_sum = 0u128;
         for e in phases {
-            let label = e
-                .get("phase")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{sweep}/{stage}: phase entry missing label"))?;
-            if label.is_empty() {
-                return Err(format!("{sweep}/{stage}: empty phase label"));
-            }
-            if !phase_index.iter().any(|(l, _)| l == label) {
-                return Err(format!(
-                    "{sweep}/{stage}: orphan phase {label:?} not in the point's phase index"
+            let Some(label) = phase_label(e, &ctx, errors) else {
+                continue;
+            };
+            if !phase_index.iter().any(|(l, _)| *l == label) {
+                errors.push(format!(
+                    "{ctx}: orphan phase {label:?} not in the point's phase index"
                 ));
             }
-            let pc = e
-                .get("count")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("{sweep}/{stage}/{label}: missing count"))?;
-            let pt = e
-                .get("total_ps")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("{sweep}/{stage}/{label}: missing total_ps"))?;
-            let pm = e
-                .get("mean_ps")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{sweep}/{stage}/{label}: missing mean_ps"))?;
-            if pc > 0 {
-                let expect = pt as f64 / pc as f64;
-                if (pm - expect).abs() > 1e-6 * (1.0 + expect) {
-                    return Err(format!(
-                        "{sweep}/{stage}/{label}: mean {pm} inconsistent with total/count {expect}"
-                    ));
-                }
-            }
-            check_tails(&format!("{sweep}/{stage}/{label}"), e, pc, pt)?;
+            let Some((pc, pt)) = check_slice(&format!("{ctx}/{label}"), e, errors) else {
+                continue;
+            };
             phase_count_sum += pc;
             phase_total_sum += pt as u128;
             phase_slices += 1;
             if in_anatomy {
-                match anatomy_phase_totals.iter_mut().find(|(l, _)| l == label) {
-                    Some((_, acc)) => *acc += pt as u128,
-                    None => anatomy_phase_totals.push((label.to_string(), pt as u128)),
-                }
+                *crate::slot(&mut anatomy_phase_totals, label, || 0) += pt as u128;
             }
         }
         if !phases.is_empty() {
             if phase_count_sum != count {
-                return Err(format!(
-                    "{sweep}/{stage}: phase counts sum to {phase_count_sum}, stage count is {count}"
+                errors.push(format!(
+                    "{ctx}: phase counts sum to {phase_count_sum}, stage count is {count}"
                 ));
             }
             if phase_total_sum != total as u128 {
-                return Err(format!(
-                    "{sweep}/{stage}: phase totals sum to {phase_total_sum}, \
-                     stage total_ps is {total}"
+                errors.push(format!(
+                    "{ctx}: phase totals sum to {phase_total_sum}, stage total_ps is {total}"
                 ));
             }
         }
@@ -801,31 +740,31 @@ fn check_point(sweep: &str, p: &Value) -> Result<usize, String> {
             .find(|(l, _)| l == label)
             .map_or(0, |(_, t)| *t);
         if got != *expect as u128 {
-            return Err(format!(
+            errors.push(format!(
                 "{sweep}/phase {label}: anatomy sub-totals sum to {got}, \
                  phase index claims {expect}"
             ));
         }
     }
-    if read_total > 0 {
+    if let Some(read_total) = read_total.filter(|t| *t > 0) {
         if (share_sum - 1.0).abs() > 1e-9 {
-            return Err(format!(
+            errors.push(format!(
                 "{sweep}: anatomy shares sum to {share_sum}, expected 1"
             ));
         }
         if total_sum != read_total as u128 {
-            return Err(format!(
+            errors.push(format!(
                 "{sweep}: anatomy totals sum to {total_sum}, read_total_ps is {read_total}"
             ));
         }
     }
-    Ok(phase_slices)
+    (anatomy.len() + others.len(), phase_slices)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, TraceRecorder};
+    use crate::recorder::TraceRecorder;
     use thymesim_sim::Dur;
 
     /// A point whose anatomy stages are (base, 2·base, ...·base) and
@@ -1023,6 +962,8 @@ mod tests {
                 "schema": 1,
                 "sweeps": [{{
                     "sweep": "sw",
+                    "points": 0,
+                    "traced_points": 0,
                     "per_point": [],
                     "merged": {point}
                 }}]
@@ -1045,7 +986,7 @@ mod tests {
             index,
             r#"{"phase": "ghost", "count": 2, "total_ps": 10, "mean_ps": 5.0, "p99_ps": 5, "p999_ps": 5, "max_ps": 5}"#,
         );
-        let err = check_attribution(&orphan).unwrap_err();
+        let err = check_attribution(&orphan).unwrap_err().join("\n");
         assert!(err.contains("orphan phase"), "{err}");
 
         // Phase totals exceeding the stage total are rejected.
@@ -1053,7 +994,7 @@ mod tests {
             r#"{"phase": "copy", "read_total_ps": 13}"#,
             r#"{"phase": "copy", "count": 2, "total_ps": 13, "mean_ps": 6.5, "p99_ps": 7, "p999_ps": 7, "max_ps": 7}"#,
         );
-        let err = check_attribution(&exceed).unwrap_err();
+        let err = check_attribution(&exceed).unwrap_err().join("\n");
         assert!(err.contains("phase totals sum to 13"), "{err}");
 
         // So are partitions that drop observations (counts short).
@@ -1061,7 +1002,7 @@ mod tests {
             index,
             r#"{"phase": "copy", "count": 1, "total_ps": 10, "mean_ps": 10.0, "p99_ps": 10, "p999_ps": 10, "max_ps": 10}"#,
         );
-        let err = check_attribution(&short).unwrap_err();
+        let err = check_attribution(&short).unwrap_err().join("\n");
         assert!(err.contains("phase counts sum to 1"), "{err}");
 
         // Index totals must reproduce from the anatomy sub-totals.
@@ -1069,7 +1010,7 @@ mod tests {
             r#"{"phase": "copy", "read_total_ps": 9}"#,
             r#"{"phase": "copy", "count": 2, "total_ps": 10, "mean_ps": 5.0, "p99_ps": 5, "p999_ps": 5, "max_ps": 5}"#,
         );
-        let err = check_attribution(&inflated).unwrap_err();
+        let err = check_attribution(&inflated).unwrap_err().join("\n");
         assert!(err.contains("phase index claims 9"), "{err}");
 
         // Duplicate index labels are rejected.
@@ -1077,7 +1018,7 @@ mod tests {
             r#"{"phase": "copy", "read_total_ps": 10}, {"phase": "copy", "read_total_ps": 0}"#,
             r#"{"phase": "copy", "count": 2, "total_ps": 10, "mean_ps": 5.0, "p99_ps": 5, "p999_ps": 5, "max_ps": 5}"#,
         );
-        let err = check_attribution(&dup).unwrap_err();
+        let err = check_attribution(&dup).unwrap_err().join("\n");
         assert!(err.contains("duplicate phase"), "{err}");
     }
 
@@ -1090,7 +1031,7 @@ mod tests {
             r#"{"phase": "copy", "count": 2, "total_ps": 10, "mean_ps": 5.0,
                 "p99_ps": 6, "p999_ps": 5, "max_ps": 6}"#,
         );
-        let err = check_attribution(&disordered).unwrap_err();
+        let err = check_attribution(&disordered).unwrap_err().join("\n");
         assert!(err.contains("tail quantiles out of order"), "{err}");
 
         // A max above the slice total is impossible for latencies.
@@ -1099,7 +1040,7 @@ mod tests {
             r#"{"phase": "copy", "count": 2, "total_ps": 10, "mean_ps": 5.0,
                 "p99_ps": 5, "p999_ps": 5, "max_ps": 11}"#,
         );
-        let err = check_attribution(&oversized).unwrap_err();
+        let err = check_attribution(&oversized).unwrap_err().join("\n");
         assert!(err.contains("exceeds the slice total"), "{err}");
 
         // The columns are part of the schema, not optional.
@@ -1107,7 +1048,7 @@ mod tests {
             index,
             r#"{"phase": "copy", "count": 2, "total_ps": 10, "mean_ps": 5.0}"#,
         );
-        let err = check_attribution(&missing).unwrap_err();
+        let err = check_attribution(&missing).unwrap_err().join("\n");
         assert!(err.contains("missing p99_ps"), "{err}");
     }
 

@@ -197,16 +197,18 @@ impl Baseline {
     /// Compare folded sweeps against this baseline. Empty result means
     /// every pinned stage, phase, utilization counter, *and blame
     /// cross-share* is within its tolerance band and nothing appeared
-    /// or disappeared.
+    /// or disappeared. The run is snapshotted exactly as
+    /// [`Baseline::record`] would pin it, then banded row by row.
     pub fn check(
         &self,
         atts: &[SweepAttribution],
         utils: &[SweepUtilization],
         blames: &[SweepBlame],
     ) -> Vec<Drift> {
+        let run = Baseline::record("", atts, utils, blames, 0.0);
         let mut drifts = Vec::new();
         for base in &self.sweeps {
-            let Some(att) = atts.iter().find(|a| a.sweep == base.sweep) else {
+            let Some(run) = run.sweeps.iter().find(|s| s.sweep == base.sweep) else {
                 drifts.push(Drift {
                     sweep: base.sweep.clone(),
                     stage: "*".into(),
@@ -215,183 +217,8 @@ impl Baseline {
                 });
                 continue;
             };
-            for bs in &base.stages {
-                let Some(slice) = att.merged.slice(&bs.stage) else {
-                    drifts.push(Drift {
-                        sweep: base.sweep.clone(),
-                        stage: bs.stage.clone(),
-                        phase: None,
-                        kind: DriftKind::MissingStage {
-                            baseline_ps: bs.mean_ps,
-                        },
-                    });
-                    continue;
-                };
-                drifts.extend(band_drifts(
-                    &base.sweep,
-                    &bs.stage,
-                    None,
-                    bs.mean_ps,
-                    bs.count,
-                    bs.rel_tol,
-                    slice.mean_ps,
-                    slice.count,
-                ));
-                // Tail band: a p999 moving while the mean holds is the
-                // tail-column regression the serving campaign gates on.
-                let tail_delta = rel_delta(slice.p999_ps as f64, bs.p999_ps as f64);
-                if tail_delta > bs.rel_tol {
-                    drifts.push(Drift {
-                        sweep: base.sweep.clone(),
-                        stage: bs.stage.clone(),
-                        phase: None,
-                        kind: DriftKind::TailDrift {
-                            baseline_ps: bs.p999_ps,
-                            actual_ps: slice.p999_ps,
-                            rel_delta: tail_delta,
-                            rel_tol: bs.rel_tol,
-                        },
-                    });
-                }
-                // Per-phase bands within the stage.
-                for bp in &bs.phases {
-                    let Some(ph) = slice.phase(&bp.phase) else {
-                        drifts.push(Drift {
-                            sweep: base.sweep.clone(),
-                            stage: bs.stage.clone(),
-                            phase: Some(bp.phase.clone()),
-                            kind: DriftKind::MissingStage {
-                                baseline_ps: bp.mean_ps,
-                            },
-                        });
-                        continue;
-                    };
-                    drifts.extend(band_drifts(
-                        &base.sweep,
-                        &bs.stage,
-                        Some(&bp.phase),
-                        bp.mean_ps,
-                        bp.count,
-                        bp.rel_tol,
-                        ph.mean_ps,
-                        ph.count,
-                    ));
-                }
-                for ph in &slice.phases {
-                    if !bs.phases.iter().any(|bp| bp.phase == ph.label()) {
-                        drifts.push(Drift {
-                            sweep: base.sweep.clone(),
-                            stage: bs.stage.clone(),
-                            phase: Some(ph.label()),
-                            kind: DriftKind::NewStage {
-                                actual_ps: ph.mean_ps,
-                            },
-                        });
-                    }
-                }
-            }
-            // A stage the baseline has never seen is drift too — the
-            // model grew a probe; re-record to bless it.
-            for slice in att.merged.slices() {
-                if !base.stages.iter().any(|bs| bs.stage == slice.stage) {
-                    drifts.push(Drift {
-                        sweep: base.sweep.clone(),
-                        stage: slice.stage.clone(),
-                        phase: None,
-                        kind: DriftKind::NewStage {
-                            actual_ps: slice.mean_ps,
-                        },
-                    });
-                }
-            }
-            // Utilization-counter bands: the merged time-weighted mean
-            // of each pinned counter track, drift named `counter <name>`.
-            let util = utils.iter().find(|u| u.sweep == base.sweep);
-            for bc in &base.counters {
-                let Some(actual) = util.and_then(|u| u.merged_counter(&bc.name)) else {
-                    drifts.push(Drift {
-                        sweep: base.sweep.clone(),
-                        stage: format!("counter {}", bc.name),
-                        phase: None,
-                        kind: DriftKind::MissingStage {
-                            baseline_ps: bc.mean,
-                        },
-                    });
-                    continue;
-                };
-                let delta = rel_delta(actual.mean, bc.mean);
-                if delta > bc.rel_tol {
-                    drifts.push(Drift {
-                        sweep: base.sweep.clone(),
-                        stage: format!("counter {}", bc.name),
-                        phase: None,
-                        kind: DriftKind::MeanDrift {
-                            baseline_ps: bc.mean,
-                            actual_ps: actual.mean,
-                            rel_delta: delta,
-                            rel_tol: bc.rel_tol,
-                        },
-                    });
-                }
-            }
-            if let Some(util) = util {
-                for c in &util.merged {
-                    if !c.name.starts_with("blame.")
-                        && !base.counters.iter().any(|bc| bc.name == c.name)
-                    {
-                        drifts.push(Drift {
-                            sweep: base.sweep.clone(),
-                            stage: format!("counter {}", c.name),
-                            phase: None,
-                            kind: DriftKind::NewStage { actual_ps: c.mean },
-                        });
-                    }
-                }
-            }
-            // Blame bands: the merged cross-source share of each blamed
-            // resource's queueing wait, drift named `blame <resource>`.
-            let blame = blames.iter().find(|b| b.sweep == base.sweep);
-            for bb in &base.blames {
-                let Some(actual) = blame.and_then(|b| b.merged_resource(&bb.resource)) else {
-                    drifts.push(Drift {
-                        sweep: base.sweep.clone(),
-                        stage: format!("blame {}", bb.resource),
-                        phase: None,
-                        kind: DriftKind::MissingStage {
-                            baseline_ps: bb.cross_share,
-                        },
-                    });
-                    continue;
-                };
-                let share = actual.cross_share();
-                let delta = rel_delta(share, bb.cross_share);
-                if delta > bb.rel_tol {
-                    drifts.push(Drift {
-                        sweep: base.sweep.clone(),
-                        stage: format!("blame {}", bb.resource),
-                        phase: None,
-                        kind: DriftKind::BlameDrift {
-                            baseline_share: bb.cross_share,
-                            actual_share: share,
-                            rel_delta: delta,
-                            rel_tol: bb.rel_tol,
-                        },
-                    });
-                }
-            }
-            if let Some(blame) = blame {
-                for r in &blame.merged {
-                    if !base.blames.iter().any(|bb| bb.resource == r.resource) {
-                        drifts.push(Drift {
-                            sweep: base.sweep.clone(),
-                            stage: format!("blame {}", r.resource),
-                            phase: None,
-                            kind: DriftKind::NewStage {
-                                actual_ps: r.cross_share(),
-                            },
-                        });
-                    }
-                }
+            for ((label, base_rows), (_, run_rows)) in base.rows().iter().zip(run.rows()) {
+                band_rows(&base.sweep, *label, base_rows, &run_rows, &mut drifts);
             }
         }
         drifts
@@ -422,49 +249,155 @@ impl Baseline {
     }
 }
 
-/// Mean/count band comparison shared by the stage- and phase-level
-/// checks; `phase: None` labels a stage-level drift.
-#[allow(clippy::too_many_arguments)]
-fn band_drifts(
-    sweep: &str,
-    stage: &str,
-    phase: Option<&str>,
-    base_mean: f64,
-    base_count: u64,
+/// One banded row — a stage, a phase within a stage, a utilization
+/// counter, or a blamed resource — as the baseline pinned it or as the
+/// checked run measured it.
+struct Row<'a> {
+    key: &'a str,
+    /// The headline quantity: mean latency, counter mean, or cross share.
+    value: f64,
+    /// Observation count (stages and phases only).
+    count: Option<u64>,
+    /// Tail quantile (stages only).
+    p999_ps: Option<u64>,
     rel_tol: f64,
-    actual_mean: f64,
-    actual_count: u64,
-) -> Vec<Drift> {
-    let mut drifts = Vec::new();
-    let mean_delta = rel_delta(actual_mean, base_mean);
-    if mean_delta > rel_tol {
-        drifts.push(Drift {
-            sweep: sweep.to_string(),
-            stage: stage.to_string(),
-            phase: phase.map(str::to_string),
-            kind: DriftKind::MeanDrift {
-                baseline_ps: base_mean,
-                actual_ps: actual_mean,
-                rel_delta: mean_delta,
-                rel_tol,
-            },
-        });
+    /// Per-phase rows nested in a stage row.
+    phases: Vec<Row<'a>>,
+}
+
+impl Row<'_> {
+    fn of(key: &str, value: f64, rel_tol: f64) -> Row<'_> {
+        Row {
+            key,
+            value,
+            count: None,
+            p999_ps: None,
+            rel_tol,
+            phases: Vec::new(),
+        }
     }
-    let count_delta = rel_delta(actual_count as f64, base_count as f64);
-    if count_delta > rel_tol {
-        drifts.push(Drift {
-            sweep: sweep.to_string(),
-            stage: stage.to_string(),
-            phase: phase.map(str::to_string),
-            kind: DriftKind::CountDrift {
-                baseline: base_count,
-                actual: actual_count,
-                rel_delta: count_delta,
-                rel_tol,
-            },
+}
+
+impl BaselineSweep {
+    /// This sweep's bands as banding rows, one list per row family.
+    fn rows(&self) -> [(Label<'static>, Vec<Row<'_>>); 3] {
+        let stages = self.stages.iter().map(|s| Row {
+            count: Some(s.count),
+            p999_ps: Some(s.p999_ps),
+            phases: s
+                .phases
+                .iter()
+                .map(|p| Row {
+                    count: Some(p.count),
+                    ..Row::of(&p.phase, p.mean_ps, p.rel_tol)
+                })
+                .collect(),
+            ..Row::of(&s.stage, s.mean_ps, s.rel_tol)
         });
+        let counters = self
+            .counters
+            .iter()
+            .map(|c| Row::of(&c.name, c.mean, c.rel_tol));
+        let blames = self
+            .blames
+            .iter()
+            .map(|b| Row::of(&b.resource, b.cross_share, b.rel_tol));
+        [
+            (Label::Stage, stages.collect()),
+            (Label::Counter, counters.collect()),
+            (Label::Blame, blames.collect()),
+        ]
     }
-    drifts
+}
+
+/// How a row's key names its drift: plain stages, phases under their
+/// stage, and the `counter <name>` / `blame <resource>` pseudo-stages.
+#[derive(Clone, Copy)]
+enum Label<'a> {
+    Stage,
+    Phase(&'a str),
+    Counter,
+    Blame,
+}
+
+/// The one banding routine every row family goes through: each pinned
+/// row is missing, or has its value (and count and tail, where the
+/// family carries them) within `rel_tol` of the run's, its nested phase
+/// rows banded the same way; then every run row the baseline has never
+/// seen is drift too — the model grew a probe; re-record to bless it.
+fn band_rows(sweep: &str, label: Label, base: &[Row], run: &[Row], drifts: &mut Vec<Drift>) {
+    let drift = |key: &str, kind: DriftKind| {
+        let (stage, phase) = match label {
+            Label::Stage => (key.to_string(), None),
+            Label::Phase(stage) => (stage.to_string(), Some(key.to_string())),
+            Label::Counter => (format!("counter {key}"), None),
+            Label::Blame => (format!("blame {key}"), None),
+        };
+        Drift {
+            sweep: sweep.to_string(),
+            stage,
+            phase,
+            kind,
+        }
+    };
+    for b in base {
+        let Some(r) = run.iter().find(|r| r.key == b.key) else {
+            let baseline_ps = b.value;
+            drifts.push(drift(b.key, DriftKind::MissingStage { baseline_ps }));
+            continue;
+        };
+        let rel_tol = b.rel_tol;
+        let delta = rel_delta(r.value, b.value);
+        if delta > rel_tol {
+            let kind = match label {
+                Label::Blame => DriftKind::BlameDrift {
+                    baseline_share: b.value,
+                    actual_share: r.value,
+                    rel_delta: delta,
+                    rel_tol,
+                },
+                _ => DriftKind::MeanDrift {
+                    baseline_ps: b.value,
+                    actual_ps: r.value,
+                    rel_delta: delta,
+                    rel_tol,
+                },
+            };
+            drifts.push(drift(b.key, kind));
+        }
+        if let (Some(baseline), Some(actual)) = (b.count, r.count) {
+            let delta = rel_delta(actual as f64, baseline as f64);
+            if delta > rel_tol {
+                let kind = DriftKind::CountDrift {
+                    baseline,
+                    actual,
+                    rel_delta: delta,
+                    rel_tol,
+                };
+                drifts.push(drift(b.key, kind));
+            }
+        }
+        // Tail band: a p999 moving while the mean holds is the
+        // tail-column regression the serving campaign gates on.
+        if let (Some(baseline_ps), Some(actual_ps)) = (b.p999_ps, r.p999_ps) {
+            let delta = rel_delta(actual_ps as f64, baseline_ps as f64);
+            if delta > rel_tol {
+                let kind = DriftKind::TailDrift {
+                    baseline_ps,
+                    actual_ps,
+                    rel_delta: delta,
+                    rel_tol,
+                };
+                drifts.push(drift(b.key, kind));
+            }
+        }
+        band_rows(sweep, Label::Phase(b.key), &b.phases, &r.phases, drifts);
+    }
+    for r in run {
+        if !base.iter().any(|b| b.key == r.key) {
+            drifts.push(drift(r.key, DriftKind::NewStage { actual_ps: r.value }));
+        }
+    }
 }
 
 /// Relative deviation of `actual` from `baseline`, with a 1 ps floor on
@@ -594,7 +527,7 @@ impl std::fmt::Display for Drift {
 mod tests {
     use super::*;
     use crate::attribution::READ_ANATOMY;
-    use crate::recorder::{PointTrace, Recorder, TraceRecorder};
+    use crate::recorder::{PointTrace, TraceRecorder};
     use thymesim_sim::Dur;
 
     fn point(index: usize, base: u64) -> PointTrace {
@@ -875,8 +808,7 @@ mod tests {
         let drifts = b.check(&atts, &[], &[]);
         assert!(drifts
             .iter()
-            .any(|d| d.stage == "blame gate"
-                && matches!(d.kind, DriftKind::MissingStage { .. })));
+            .any(|d| d.stage == "blame gate" && matches!(d.kind, DriftKind::MissingStage { .. })));
     }
 
     #[test]
@@ -888,7 +820,10 @@ mod tests {
         // the blame bands.
         assert!(utils[0].merged_counter("blame.gate").is_some());
         let b = Baseline::record("cmd", &atts, &utils, &blames, DEFAULT_REL_TOL);
-        assert!(b.sweeps[0].counters.iter().all(|c| !c.name.starts_with("blame.")));
+        assert!(b.sweeps[0]
+            .counters
+            .iter()
+            .all(|c| !c.name.starts_with("blame.")));
         assert_eq!(b.blame_count(), 1);
         assert!(b.check(&atts, &utils, &blames).is_empty());
     }

@@ -82,11 +82,7 @@ impl VictimBlame {
     /// `cross_ps / wait_ps` (0 when nothing waited).
     #[must_use]
     pub fn cross_share(&self) -> f64 {
-        if self.wait_ps == 0 {
-            0.0
-        } else {
-            self.cross_ps as f64 / self.wait_ps as f64
-        }
+        crate::frac(self.cross_ps.into(), self.wait_ps.into())
     }
 
     fn to_value(&self) -> Value {
@@ -128,11 +124,7 @@ impl ResourceBlame {
     /// banded by the baseline gate.
     #[must_use]
     pub fn cross_share(&self) -> f64 {
-        if self.wait_ps == 0 {
-            0.0
-        } else {
-            self.cross_ps as f64 / self.wait_ps as f64
-        }
+        crate::frac(self.cross_ps.into(), self.wait_ps.into())
     }
 
     /// Look up one victim's row by label.
@@ -151,10 +143,9 @@ impl ResourceBlame {
             ("cross_share".into(), Value::F64(self.cross_share())),
             (
                 "top_interferer".into(),
-                match &self.top_interferer {
-                    Some(c) => c.to_value(),
-                    None => Value::Null,
-                },
+                self.top_interferer
+                    .as_ref()
+                    .map_or(Value::Null, BlameCell::to_value),
             ),
             (
                 "victims".into(),
@@ -317,22 +308,13 @@ impl SweepBlame {
 
     #[must_use]
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("sweep".into(), Value::Str(self.sweep.clone())),
-            ("points".into(), Value::U64(self.points as u64)),
-            (
-                "traced_points".into(),
-                Value::U64(self.per_point.len() as u64),
-            ),
-            (
-                "per_point".into(),
-                Value::Array(self.per_point.iter().map(PointBlame::to_value).collect()),
-            ),
-            (
-                "merged".into(),
-                Value::Array(self.merged.iter().map(ResourceBlame::to_value).collect()),
-            ),
-        ])
+        crate::sweep_value(
+            &self.sweep,
+            Vec::new(),
+            self.points,
+            self.per_point.iter().map(PointBlame::to_value).collect(),
+            Value::Array(self.merged.iter().map(ResourceBlame::to_value).collect()),
+        )
     }
 }
 
@@ -348,55 +330,31 @@ pub struct BlameCheck {
 }
 
 /// Structurally validate a `blame.json`, collecting **every** failure:
-/// schema version, sorted resources/victims/culprits, the partition
-/// invariant `self_ps + Σ by == wait_ps` on every row, resource totals
-/// equal to their victim sums, shares consistent with the exact
-/// integers, no victim blaming itself in `by`, and top-interferer
-/// entries consistent with the matrix.
+/// the shared sweep envelope (see `walk_sweeps`), sorted
+/// resources/victims/culprits, the partition invariant
+/// `self_ps + Σ by == wait_ps` on every row, resource totals equal to
+/// their victim sums, shares consistent with the exact integers, no
+/// victim blaming itself in `by`, and top-interferer entries consistent
+/// with the matrix.
 pub fn check_blame(text: &str) -> Result<BlameCheck, Vec<String>> {
-    let root: Value =
-        serde_json::from_str(text).map_err(|e| vec![format!("not valid JSON: {e}")])?;
-    let mut errors: Vec<String> = Vec::new();
-    if root.get("schema").and_then(Value::as_u64) != Some(1) {
-        errors.push("missing or unknown schema version".into());
-    }
-    let Some(sweeps) = root.get("sweeps").and_then(Value::as_array) else {
-        errors.push("missing sweeps array".into());
-        return Err(errors);
-    };
-    let mut out = BlameCheck {
-        sweeps: sweeps.len(),
-        ..BlameCheck::default()
-    };
-    for sweep in sweeps {
-        let name = sweep
-            .get("sweep")
-            .and_then(Value::as_str)
-            .unwrap_or("<unnamed>");
-        let per_point = sweep
-            .get("per_point")
-            .and_then(Value::as_array)
-            .unwrap_or_else(|| {
-                errors.push(format!("{name}: missing per_point array"));
-                &[]
-            });
-        out.points += per_point.len();
-        for p in per_point {
+    let (mut resources, mut victims) = (0, 0);
+    let (sweeps, points) = crate::walk_sweeps(text, |name, _, per_point, merged, errors| {
+        let lists = per_point.iter().map(|p| {
             let idx = p.get("index").and_then(Value::as_u64).unwrap_or(0);
-            let ctx = format!("{name}/point {idx}");
-            let (r, v) = check_resources(&ctx, p.get("resources"), &mut errors);
-            out.resources += r;
-            out.victims += v;
+            (format!("{name}/point {idx}"), p.get("resources"))
+        });
+        for (ctx, list) in lists.chain([(name.to_string(), Some(merged))]) {
+            let (r, v) = check_resources(&ctx, list, errors);
+            resources += r;
+            victims += v;
         }
-        let (r, v) = check_resources(name, sweep.get("merged"), &mut errors);
-        out.resources += r;
-        out.victims += v;
-    }
-    if errors.is_empty() {
-        Ok(out)
-    } else {
-        Err(errors)
-    }
+    })?;
+    Ok(BlameCheck {
+        sweeps,
+        points,
+        resources,
+        victims,
+    })
 }
 
 /// Validate one resources array; returns (resources, victim rows) seen.
@@ -421,27 +379,16 @@ fn check_resources(
             errors.push(format!("{ctx}: resources not name-sorted"));
         }
         prev_res = rname.to_string();
-        let u64_of = |v: &Value, field: &str| v.get(field).and_then(Value::as_u64);
-        let (r_waits, r_wait, r_self, r_cross) = (
-            u64_of(r, "waits"),
-            u64_of(r, "wait_ps"),
-            u64_of(r, "self_ps"),
-            u64_of(r, "cross_ps"),
-        );
-        let (Some(r_waits), Some(r_wait), Some(r_self), Some(r_cross)) =
-            (r_waits, r_wait, r_self, r_cross)
-        else {
-            errors.push(format!("{ctx}: missing waits/wait_ps/self_ps/cross_ps"));
+        let Some(resource_totals) = check_totals(&ctx, r, errors) else {
             continue;
         };
-        check_share(&ctx, r, r_cross, r_wait, errors);
         let Some(victims) = r.get("victims").and_then(Value::as_array) else {
             errors.push(format!("{ctx}: missing victims array"));
             continue;
         };
-        let (mut sum_waits, mut sum_wait, mut sum_self, mut sum_cross) = (0u64, 0u64, 0u64, 0u64);
+        let mut victim_sums = [0u64; 4];
         let mut prev_victim = String::new();
-        let mut culprit_totals: Vec<(String, u64)> = Vec::new();
+        let mut culprit_totals: Vec<(&str, u64)> = Vec::new();
         for v in victims {
             victims_seen += 1;
             let vname = v
@@ -453,16 +400,9 @@ fn check_resources(
                 errors.push(format!("{ctx}: victims not label-sorted"));
             }
             prev_victim = vname.to_string();
-            let (Some(waits), Some(wait), Some(self_ps), Some(cross)) = (
-                u64_of(v, "waits"),
-                u64_of(v, "wait_ps"),
-                u64_of(v, "self_ps"),
-                u64_of(v, "cross_ps"),
-            ) else {
-                errors.push(format!("{ctx}: missing waits/wait_ps/self_ps/cross_ps"));
+            let Some(totals @ [_, wait, self_ps, cross]) = check_totals(&ctx, v, errors) else {
                 continue;
             };
-            check_share(&ctx, v, cross, wait, errors);
             let by = v.get("by").and_then(Value::as_array).unwrap_or_else(|| {
                 errors.push(format!("{ctx}: missing by array"));
                 &[]
@@ -481,15 +421,12 @@ fn check_resources(
                 if cname == vname {
                     errors.push(format!("{ctx}: victim appears as its own culprit"));
                 }
-                let ps = u64_of(c, "ps").unwrap_or_else(|| {
+                let ps = c.get("ps").and_then(Value::as_u64).unwrap_or_else(|| {
                     errors.push(format!("{ctx}/{cname}: missing ps"));
                     0
                 });
                 by_sum += ps;
-                match culprit_totals.iter_mut().find(|(l, _)| l == cname) {
-                    Some((_, acc)) => *acc += ps,
-                    None => culprit_totals.push((cname.to_string(), ps)),
-                }
+                *crate::slot(&mut culprit_totals, cname, || 0) += ps;
             }
             if by_sum != cross {
                 errors.push(format!(
@@ -502,17 +439,12 @@ fn check_resources(
                      (partition broken)"
                 ));
             }
-            sum_waits += waits;
-            sum_wait += wait;
-            sum_self += self_ps;
-            sum_cross += cross;
+            for (sum, n) in victim_sums.iter_mut().zip(totals) {
+                *sum += n;
+            }
         }
-        for (field, got, expect) in [
-            ("waits", r_waits, sum_waits),
-            ("wait_ps", r_wait, sum_wait),
-            ("self_ps", r_self, sum_self),
-            ("cross_ps", r_cross, sum_cross),
-        ] {
+        for (i, field) in TOTALS.iter().enumerate() {
+            let (got, expect) = (resource_totals[i], victim_sums[i]);
             if got != expect {
                 errors.push(format!(
                     "{ctx}: resource {field} {got} differs from its victim sum {expect}"
@@ -521,7 +453,7 @@ fn check_resources(
         }
         // Top interferer must be the matrix's argmax (ties to the
         // smallest label), and absent exactly when there is no cross.
-        culprit_totals.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        culprit_totals.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         let expect_top = culprit_totals.first().filter(|(_, ps)| *ps > 0);
         let got_top = r.get("top_interferer").filter(|t| **t != Value::Null);
         match (expect_top, got_top) {
@@ -529,7 +461,7 @@ fn check_resources(
             (Some((l, ps)), Some(t)) => {
                 let tl = t.get("culprit").and_then(Value::as_str).unwrap_or("");
                 let tp = t.get("ps").and_then(Value::as_u64).unwrap_or(0);
-                if tl != l || tp != *ps {
+                if tl != *l || tp != *ps {
                     errors.push(format!(
                         "{ctx}: top_interferer {tl}={tp} inconsistent with matrix \
                          argmax {l}={ps}"
@@ -537,41 +469,56 @@ fn check_resources(
                 }
             }
             (Some((l, _)), None) => {
-                errors.push(format!("{ctx}: top_interferer missing, matrix argmax is {l}"));
+                errors.push(format!(
+                    "{ctx}: top_interferer missing, matrix argmax is {l}"
+                ));
             }
             (None, Some(_)) => {
-                errors.push(format!("{ctx}: top_interferer present with zero cross-blame"));
+                errors.push(format!(
+                    "{ctx}: top_interferer present with zero cross-blame"
+                ));
             }
         }
     }
     (list.len(), victims_seen)
 }
 
-/// Validate one entry's `cross_share` against its exact integers.
-fn check_share(ctx: &str, v: &Value, cross: u64, wait: u64, errors: &mut Vec<String>) {
+/// The exact integer totals every matrix entry — resource or victim
+/// row — carries.
+const TOTALS: [&str; 4] = ["waits", "wait_ps", "self_ps", "cross_ps"];
+
+/// Read one entry's [`TOTALS`] (`None`, with the failure recorded, when
+/// any is missing) and validate its `cross_share` against them.
+fn check_totals(ctx: &str, v: &Value, errors: &mut Vec<String>) -> Option<[u64; 4]> {
+    let mut totals = [0u64; 4];
+    for (total, field) in totals.iter_mut().zip(TOTALS) {
+        let Some(n) = v.get(field).and_then(Value::as_u64) else {
+            errors.push(format!("{ctx}: missing waits/wait_ps/self_ps/cross_ps"));
+            return None;
+        };
+        *total = n;
+    }
+    let [_, wait, _, cross] = totals;
     let Some(share) = v.get("cross_share").and_then(Value::as_f64) else {
         errors.push(format!("{ctx}: missing cross_share"));
-        return;
+        return Some(totals);
     };
     if !(0.0..=1.0).contains(&share) {
         errors.push(format!("{ctx}: cross_share {share} outside [0, 1]"));
     }
-    let expect = if wait == 0 {
-        0.0
-    } else {
-        cross as f64 / wait as f64
-    };
+    let expect = crate::frac(cross.into(), wait.into());
     if (share - expect).abs() > 1e-9 * (1.0 + expect) {
         errors.push(format!(
             "{ctx}: cross_share {share} inconsistent with cross/wait {expect}"
         ));
     }
+    Some(totals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, Source, TraceRecorder};
+    use crate::recorder::{Source, TraceRecorder};
     use thymesim_sim::Time;
 
     /// One point where `inst_0` holds the gate over [0, 60) and
@@ -591,9 +538,24 @@ mod tests {
         assert_eq!(t.blame.len(), 1);
         let b = &t.blame[0];
         assert_eq!(b.resource, "gate");
-        assert_eq!(b.victim, Source { name: "inst", index: 1 });
+        assert_eq!(
+            b.victim,
+            Source {
+                name: "inst",
+                index: 1
+            }
+        );
         assert_eq!((b.waits, b.wait_ps, b.self_ps), (1, 30, 0));
-        assert_eq!(b.by, vec![(Source { name: "inst", index: 0 }, 30)]);
+        assert_eq!(
+            b.by,
+            vec![(
+                Source {
+                    name: "inst",
+                    index: 0
+                },
+                30
+            )]
+        );
     }
 
     #[test]
@@ -664,7 +626,10 @@ mod tests {
         let top = gate.top_interferer.as_ref().expect("has interferer");
         assert_eq!((top.culprit.as_str(), top.ps), ("inst_0", 60));
         let v = gate.victim("inst_1").expect("victim row");
-        assert_eq!(v.self_ps + v.by.iter().map(|c| c.ps).sum::<u64>(), v.wait_ps);
+        assert_eq!(
+            v.self_ps + v.by.iter().map(|c| c.ps).sum::<u64>(),
+            v.wait_ps
+        );
     }
 
     #[test]
@@ -731,12 +696,30 @@ mod tests {
             }]
         }"#;
         let errors = check_blame(text).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("partition broken")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("by charges sum")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("its own culprit")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("not label-sorted")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("cross_share")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("top_interferer")), "{errors:?}");
+        assert!(
+            errors.iter().any(|e| e.contains("partition broken")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("by charges sum")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("its own culprit")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("not label-sorted")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("cross_share")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("top_interferer")),
+            "{errors:?}"
+        );
     }
 
     #[test]

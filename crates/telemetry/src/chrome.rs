@@ -415,7 +415,7 @@ fn check_util_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, TraceRecorder};
+    use crate::recorder::TraceRecorder;
     use thymesim_sim::Time;
 
     const W: u64 = 1_000_000; // 1 µs windows for the tests

@@ -99,13 +99,7 @@ impl CounterTrack {
         let (_, num, den) = self.windows[i];
         match self.kind {
             CounterKind::Busy | CounterKind::Level => num as f64 / window_ps as f64,
-            CounterKind::Ratio => {
-                if den == 0 {
-                    0.0
-                } else {
-                    num as f64 / den as f64
-                }
-            }
+            CounterKind::Ratio => crate::frac(num, den),
         }
     }
 
@@ -305,18 +299,10 @@ impl CounterReport {
             horizon_ps,
             num,
             den,
-            mean: if den == 0 {
-                0.0
-            } else {
-                num as f64 / den as f64
-            },
+            mean: crate::frac(num, den),
             peak,
             saturated_ps,
-            saturated_frac: if horizon_ps == 0 {
-                0.0
-            } else {
-                saturated_ps as f64 / horizon_ps as f64
-            },
+            saturated_frac: crate::frac(saturated_ps.into(), horizon_ps.into()),
             longest_saturated_ps: longest,
         }
     }
@@ -325,18 +311,12 @@ impl CounterReport {
         Value::Object(vec![
             ("name".into(), Value::Str(self.name.clone())),
             ("kind".into(), Value::Str(self.kind.label().into())),
-            (
-                "bound".into(),
-                match self.bound {
-                    Some(b) => Value::U64(b),
-                    None => Value::Null,
-                },
-            ),
+            ("bound".into(), self.bound.map_or(Value::Null, Value::U64)),
             ("windows".into(), Value::U64(self.windows)),
             ("covered_ps".into(), Value::U64(self.covered_ps)),
             ("horizon_ps".into(), Value::U64(self.horizon_ps)),
-            ("num".into(), Value::U64(clamp(self.num))),
-            ("den".into(), Value::U64(clamp(self.den))),
+            ("num".into(), Value::U64(crate::clamp(self.num))),
+            ("den".into(), Value::U64(crate::clamp(self.den))),
             ("mean".into(), Value::F64(self.mean)),
             ("peak".into(), Value::F64(self.peak)),
             ("saturated_ps".into(), Value::U64(self.saturated_ps)),
@@ -459,16 +439,8 @@ impl SweepUtilization {
             }
         }
         for m in &mut merged {
-            m.mean = if m.den == 0 {
-                0.0
-            } else {
-                m.num as f64 / m.den as f64
-            };
-            m.saturated_frac = if m.horizon_ps == 0 {
-                0.0
-            } else {
-                m.saturated_ps as f64 / m.horizon_ps as f64
-            };
+            m.mean = crate::frac(m.num, m.den);
+            m.saturated_frac = crate::frac(m.saturated_ps.into(), m.horizon_ps.into());
         }
         merged.sort_by(|a, b| a.name.cmp(&b.name));
 
@@ -488,34 +460,20 @@ impl SweepUtilization {
     }
 
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("sweep".into(), Value::Str(self.sweep.clone())),
-            ("window_ps".into(), Value::U64(self.window_ps)),
-            ("threshold".into(), Value::F64(self.threshold)),
-            ("points".into(), Value::U64(self.points as u64)),
-            (
-                "traced_points".into(),
-                Value::U64(self.per_point.len() as u64),
-            ),
-            (
-                "per_point".into(),
-                Value::Array(
-                    self.per_point
-                        .iter()
-                        .map(PointUtilization::to_value)
-                        .collect(),
-                ),
-            ),
-            (
-                "merged".into(),
-                Value::Array(self.merged.iter().map(CounterReport::to_value).collect()),
-            ),
-        ])
+        crate::sweep_value(
+            &self.sweep,
+            vec![
+                ("window_ps".into(), Value::U64(self.window_ps)),
+                ("threshold".into(), Value::F64(self.threshold)),
+            ],
+            self.points,
+            self.per_point
+                .iter()
+                .map(PointUtilization::to_value)
+                .collect(),
+            Value::Array(self.merged.iter().map(CounterReport::to_value).collect()),
+        )
     }
-}
-
-fn clamp(v: u128) -> u64 {
-    u64::try_from(v).unwrap_or(u64::MAX)
 }
 
 // ----------------------------------------------------------- validator
@@ -529,59 +487,34 @@ pub struct UtilizationCheck {
 }
 
 /// Structurally validate a `utilization.json`, collecting **every**
-/// failure instead of stopping at the first: schema version, window
-/// width, known kinds, fraction values in [0, 1], bounded level values
-/// within their bound, saturation accounting consistent with the
-/// horizon, and means consistent with their exact accumulators.
+/// failure instead of stopping at the first: the shared sweep envelope
+/// (see `walk_sweeps`), window width, known kinds, fraction values in
+/// [0, 1], bounded level values within their bound, saturation
+/// accounting consistent with the horizon, and means consistent with
+/// their exact accumulators.
 pub fn check_utilization(text: &str) -> Result<UtilizationCheck, Vec<String>> {
-    let root: Value =
-        serde_json::from_str(text).map_err(|e| vec![format!("not valid JSON: {e}")])?;
-    let mut errors: Vec<String> = Vec::new();
-    if root.get("schema").and_then(Value::as_u64) != Some(1) {
-        errors.push("missing or unknown schema version".into());
-    }
-    let Some(sweeps) = root.get("sweeps").and_then(Value::as_array) else {
-        errors.push("missing sweeps array".into());
-        return Err(errors);
-    };
-    let mut out = UtilizationCheck {
-        sweeps: sweeps.len(),
-        ..UtilizationCheck::default()
-    };
-    for sweep in sweeps {
-        let name = sweep
-            .get("sweep")
-            .and_then(Value::as_str)
-            .unwrap_or("<unnamed>");
-        let window_ps = sweep.get("window_ps").and_then(Value::as_u64).unwrap_or(0);
-        if window_ps == 0 {
+    let mut counters = 0;
+    let (sweeps, points) = crate::walk_sweeps(text, |name, sweep, per_point, merged, errors| {
+        if sweep.get("window_ps").and_then(Value::as_u64).unwrap_or(0) == 0 {
             errors.push(format!("{name}: missing or zero window_ps"));
         }
         match sweep.get("threshold").and_then(Value::as_f64) {
             Some(t) if (0.0..=1.0).contains(&t) => {}
             _ => errors.push(format!("{name}: threshold missing or outside [0, 1]")),
         }
-        let per_point = sweep
-            .get("per_point")
-            .and_then(Value::as_array)
-            .unwrap_or_else(|| {
-                errors.push(format!("{name}: missing per_point array"));
-                &[]
-            });
-        out.points += per_point.len();
         for p in per_point {
             let horizon = p.get("horizon_ps").and_then(Value::as_u64).unwrap_or(0);
             let idx = p.get("index").and_then(Value::as_u64).unwrap_or(0);
             let ctx = format!("{name}/point {idx}");
-            out.counters += check_counters(&ctx, p.get("counters"), Some(horizon), &mut errors);
+            counters += check_counters(&ctx, p.get("counters"), Some(horizon), errors);
         }
-        out.counters += check_counters(name, sweep.get("merged"), None, &mut errors);
-    }
-    if errors.is_empty() {
-        Ok(out)
-    } else {
-        Err(errors)
-    }
+        counters += check_counters(name, Some(merged), None, errors);
+    })?;
+    Ok(UtilizationCheck {
+        sweeps,
+        points,
+        counters,
+    })
 }
 
 /// Validate one counters array; returns how many entries it held.
@@ -661,11 +594,7 @@ fn check_counters(
             ));
         }
         if let Some(frac) = c.get("saturated_frac").and_then(Value::as_f64) {
-            let expect = if horizon == 0 {
-                0.0
-            } else {
-                saturated as f64 / horizon as f64
-            };
+            let expect = crate::frac(saturated.into(), horizon.into());
             if (frac - expect).abs() > 1e-9 * (1.0 + expect) {
                 errors.push(format!(
                     "{ctx}: saturated_frac {frac} inconsistent with saturated/horizon {expect}"
@@ -678,7 +607,7 @@ fn check_counters(
         let den = c.get("den").and_then(Value::as_u64);
         match (num, den) {
             (Some(n), Some(d)) => {
-                let expect = if d == 0 { 0.0 } else { n as f64 / d as f64 };
+                let expect = crate::frac(n.into(), d.into());
                 if (mean - expect).abs() > 1e-9 * (1.0 + expect) {
                     errors.push(format!(
                         "{ctx}: mean {mean} inconsistent with num/den {expect}"

@@ -5,7 +5,7 @@
 //! pipeline stages, credit window, delay gate, memory hierarchy, links,
 //! workload phases) call the free functions in this crate — [`span`],
 //! [`instant`], [`counter`], [`latency`], [`add`], [`phase_begin`] /
-//! [`phase_end`] — which forward to a thread-local [`Recorder`] when one
+//! [`phase_end`] — which forward to a thread-local [`TraceRecorder`] when one
 //! is installed and cost a single thread-local flag read otherwise.
 //! Workloads declare phases ([`phase_begin`]) and every latency
 //! observation lands in the phase current at record time, so each stage
@@ -44,11 +44,10 @@ pub use blame::{BlameCell, PointBlame, ResourceBlame, SweepBlame, VictimBlame};
 pub use counters::{
     CounterKind, CounterRecorder, CounterReport, CounterTrack, PointUtilization, SweepUtilization,
 };
-pub use recorder::{
-    BlameEntry, NoopRecorder, Phase, PointTrace, Recorder, Source, TraceEvent, TraceRecorder,
-};
+pub use recorder::{BlameEntry, Phase, PointTrace, Source, TraceEvent, TraceRecorder};
 pub use summary::SweepSummary;
 
+use serde::Value;
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -98,11 +97,20 @@ impl Default for TraceConfig {
     }
 }
 
+/// Everything one exported sweep folded into: one entry per artifact
+/// family.
+struct SweepFolds {
+    summary: SweepSummary,
+    attribution: SweepAttribution,
+    utilization: SweepUtilization,
+    blame: SweepBlame,
+}
+
 static CONFIG: Mutex<Option<TraceConfig>> = Mutex::new(None);
-static SUMMARIES: Mutex<Vec<SweepSummary>> = Mutex::new(Vec::new());
-static ATTRIBUTIONS: Mutex<Vec<SweepAttribution>> = Mutex::new(Vec::new());
-static UTILIZATIONS: Mutex<Vec<SweepUtilization>> = Mutex::new(Vec::new());
-static BLAMES: Mutex<Vec<SweepBlame>> = Mutex::new(Vec::new());
+/// The artifact registry: every sweep exported so far, in execution
+/// order. The merged artifact files and the in-process snapshots are
+/// all views of this one list.
+static FOLDS: Mutex<Vec<SweepFolds>> = Mutex::new(Vec::new());
 
 /// Install the process-wide tracing configuration.
 pub fn configure(cfg: TraceConfig) {
@@ -113,10 +121,7 @@ pub fn configure(cfg: TraceConfig) {
 /// attributions, utilizations, and blame reports).
 pub fn disable() {
     *CONFIG.lock().expect("telemetry config poisoned") = None;
-    SUMMARIES.lock().expect("summaries poisoned").clear();
-    ATTRIBUTIONS.lock().expect("attributions poisoned").clear();
-    UTILIZATIONS.lock().expect("utilizations poisoned").clear();
-    BLAMES.lock().expect("blames poisoned").clear();
+    FOLDS.lock().expect("fold registry poisoned").clear();
 }
 
 /// The currently installed configuration, if tracing is on.
@@ -165,13 +170,18 @@ pub fn take() -> Option<PointTrace> {
         .map(TraceRecorder::finish)
 }
 
+/// Run `f` on this thread's recorder, if one is installed: the one
+/// guard every probe below goes through. With tracing off it costs the
+/// thread-local flag read and nothing else.
 #[inline]
 fn with(f: impl FnOnce(&mut TraceRecorder)) {
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            f(rec);
-        }
-    });
+    if enabled() {
+        RECORDER.with(|r| {
+            if let Some(rec) = r.borrow_mut().as_mut() {
+                f(rec);
+            }
+        });
+    }
 }
 
 // ------------------------------------------------------------- probes
@@ -179,9 +189,7 @@ fn with(f: impl FnOnce(&mut TraceRecorder)) {
 /// Record a completed interval `[start, end]` on `track`.
 #[inline]
 pub fn span(track: &'static str, name: &'static str, start: Time, end: Time) {
-    if enabled() {
-        with(|r| r.span(track, name, start, end));
-    }
+    with(|r| r.span(track, name, start, end));
 }
 
 /// Like [`span`], with one `key = value` argument.
@@ -194,25 +202,19 @@ pub fn span_arg(
     key: &'static str,
     value: u64,
 ) {
-    if enabled() {
-        with(|r| r.span_arg(track, name, start, end, key, value));
-    }
+    with(|r| r.span_arg(track, name, start, end, key, value));
 }
 
 /// Record a point-in-time marker.
 #[inline]
 pub fn instant(track: &'static str, name: &'static str, at: Time) {
-    if enabled() {
-        with(|r| r.instant(track, name, at));
-    }
+    with(|r| r.instant(track, name, at));
 }
 
 /// Record a sampled counter value.
 #[inline]
 pub fn counter(name: &'static str, at: Time, value: f64) {
-    if enabled() {
-        with(|r| r.counter(name, at, value));
-    }
+    with(|r| r.counter(name, at, value));
 }
 
 /// Record one observation of a per-stage latency. The observation is
@@ -221,9 +223,7 @@ pub fn counter(name: &'static str, at: Time, value: f64) {
 /// histogram exactly.
 #[inline]
 pub fn latency(stage: &'static str, d: Dur) {
-    if enabled() {
-        with(|r| r.latency(stage, d));
-    }
+    with(|r| r.latency(stage, d));
 }
 
 /// Enter a workload phase (STREAM kernel, BFS level, KV steady state,
@@ -233,25 +233,19 @@ pub fn latency(stage: &'static str, d: Dur) {
 /// each step.
 #[inline]
 pub fn phase_begin(name: &'static str, index: Option<u64>) {
-    if enabled() {
-        with(|r| r.phase_begin(name, index));
-    }
+    with(|r| r.phase_begin(name, index));
 }
 
 /// Leave the current workload phase; later observations are `unphased`.
 #[inline]
 pub fn phase_end() {
-    if enabled() {
-        with(|r| r.phase_end());
-    }
+    with(|r| r.phase_end());
 }
 
 /// Bump a monotonic total.
 #[inline]
 pub fn add(name: &'static str, delta: u64) {
-    if enabled() {
-        with(|r| r.add(name, delta));
-    }
+    with(|r| r.add(name, delta));
 }
 
 /// Record that a component was occupied over `[start, end)` — folded
@@ -260,9 +254,7 @@ pub fn add(name: &'static str, delta: u64) {
 /// naturally) so window fractions stay within [0, 1].
 #[inline]
 pub fn counter_busy(name: &'static str, start: Time, end: Time) {
-    if enabled() {
-        with(|r| r.counter_busy(name, start, end));
-    }
+    with(|r| r.counter_busy(name, start, end));
 }
 
 /// Record an integer gauge held at `level` over `[start, end)` — folded
@@ -271,9 +263,7 @@ pub fn counter_busy(name: &'static str, start: Time, end: Time) {
 /// instantaneous queue depth.
 #[inline]
 pub fn counter_level(name: &'static str, start: Time, end: Time, level: u64) {
-    if enabled() {
-        with(|r| r.counter_level(name, start, end, level));
-    }
+    with(|r| r.counter_level(name, start, end, level));
 }
 
 /// Record a numerator/denominator event pair at an instant (e.g. one
@@ -281,18 +271,14 @@ pub fn counter_level(name: &'static str, start: Time, end: Time, level: u64) {
 /// rate in [0, 1].
 #[inline]
 pub fn counter_ratio(name: &'static str, at: Time, num: u64, den: u64) {
-    if enabled() {
-        with(|r| r.counter_ratio(name, at, num, den));
-    }
+    with(|r| r.counter_ratio(name, at, num, den));
 }
 
 /// Declare a level counter's capacity (credit window size, ...); the
 /// exported track carries it and saturation is measured against it.
 #[inline]
 pub fn counter_bound(name: &'static str, bound: u64) {
-    if enabled() {
-        with(|r| r.counter_bound(name, bound));
-    }
+    with(|r| r.counter_bound(name, bound));
 }
 
 /// Enter a traffic source (workload instance, serve shard, lender, ...).
@@ -302,18 +288,14 @@ pub fn counter_bound(name: &'static str, bound: u64) {
 /// restate theirs each step, mirroring [`phase_begin`].
 #[inline]
 pub fn source_begin(name: &'static str, index: u64) {
-    if enabled() {
-        with(|r| r.source_begin(name, index));
-    }
+    with(|r| r.source_begin(name, index));
 }
 
 /// Leave the current traffic source; later blame records are tagged
 /// with the `main` source.
 #[inline]
 pub fn source_end() {
-    if enabled() {
-        with(|r| r.source_end());
-    }
+    with(|r| r.source_end());
 }
 
 /// Record that the current source occupied queueing resource `resource`
@@ -321,9 +303,7 @@ pub fn source_end() {
 /// decompose their waits against these segments.
 #[inline]
 pub fn blame_occupy(resource: &'static str, start: Time, end: Time) {
-    if enabled() {
-        with(|r| r.blame_occupy(resource, start, end));
-    }
+    with(|r| r.blame_occupy(resource, start, end));
 }
 
 /// Decompose the current source's queueing wait `[arrival, start)` at
@@ -333,9 +313,7 @@ pub fn blame_occupy(resource: &'static str, start: Time, end: Time) {
 /// request's own [`blame_occupy`] so its grant doesn't blame itself.
 #[inline]
 pub fn blame_wait(resource: &'static str, arrival: Time, start: Time) {
-    if enabled() {
-        with(|r| r.blame_wait(resource, arrival, start));
-    }
+    with(|r| r.blame_wait(resource, arrival, start));
 }
 
 /// Claim the next instance slot of an exclusive counter family on this
@@ -346,10 +324,9 @@ pub fn blame_wait(resource: &'static str, arrival: Time, start: Time) {
 /// their occupancies into fractions above 1.
 #[inline]
 pub fn claim(family: &'static str) -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    RECORDER.with(|r| r.borrow_mut().as_mut().map_or(0, |rec| rec.claim(family)))
+    let mut slot = 0;
+    with(|r| slot = r.claim(family));
+    slot
 }
 
 // ------------------------------------------------------------- export
@@ -364,11 +341,11 @@ pub fn flat_name(name: &str) -> String {
 
 /// Export one finished sweep: write its Chrome trace to
 /// `<dir>/<flat>.trace.json` and its collapsed-stack attribution to
-/// `<dir>/<flat>.collapsed`, and fold its summary and attribution into
-/// the process-wide accumulators (written later by [`write_summary`] /
-/// [`write_attribution`]). Called by the sweep harness with traces
-/// already in grid order; `configs[i]` is the compact config JSON of
-/// grid point `i`.
+/// `<dir>/<flat>.collapsed`, and fold it into the process-wide registry
+/// (written later by [`write_summary`] / [`write_attribution`] /
+/// [`write_utilization`] / [`write_blame`]). Called by the sweep harness
+/// with traces already in grid order; `configs[i]` is the compact
+/// config JSON of grid point `i`.
 pub fn export_sweep(
     name: &str,
     points: usize,
@@ -376,184 +353,225 @@ pub fn export_sweep(
     configs: &[String],
 ) -> Option<PathBuf> {
     let cfg = config()?;
-    let attribution = SweepAttribution::fold(name, points, traces, configs);
-    let utilization = SweepUtilization::fold(
-        name,
-        points,
-        traces,
-        cfg.counter_window_ps,
-        cfg.saturation_threshold,
-    );
-    let blame = SweepBlame::fold(name, points, traces);
+    let folds = SweepFolds {
+        summary: SweepSummary::merge(name, points, traces),
+        attribution: SweepAttribution::fold(name, points, traces, configs),
+        utilization: SweepUtilization::fold(
+            name,
+            points,
+            traces,
+            cfg.counter_window_ps,
+            cfg.saturation_threshold,
+        ),
+        blame: SweepBlame::fold(name, points, traces),
+    };
     let path = cfg.dir.join(format!("{}.trace.json", flat_name(name)));
     if cfg.artifacts {
         std::fs::create_dir_all(&cfg.dir).expect("trace directory must be creatable");
         std::fs::write(&path, chrome::render(name, traces, cfg.counter_window_ps))
             .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         let collapsed = cfg.dir.join(format!("{}.collapsed", flat_name(name)));
-        std::fs::write(&collapsed, attribution.collapsed())
+        std::fs::write(&collapsed, folds.attribution.collapsed())
             .unwrap_or_else(|e| panic!("write {}: {e}", collapsed.display()));
     }
-    let summary = SweepSummary::merge(name, points, traces);
-    let mut all = SUMMARIES.lock().expect("summaries poisoned");
+    let mut all = FOLDS.lock().expect("fold registry poisoned");
     // Re-running a sweep in-process (tests, repeated experiments)
     // replaces its entry instead of duplicating it.
-    match all.iter_mut().find(|s| s.sweep == name) {
-        Some(slot) => *slot = summary,
-        None => all.push(summary),
-    }
-    drop(all);
-    let mut atts = ATTRIBUTIONS.lock().expect("attributions poisoned");
-    match atts.iter_mut().find(|a| a.sweep == name) {
-        Some(slot) => *slot = attribution,
-        None => atts.push(attribution),
-    }
-    drop(atts);
-    let mut utils = UTILIZATIONS.lock().expect("utilizations poisoned");
-    match utils.iter_mut().find(|u| u.sweep == name) {
-        Some(slot) => *slot = utilization,
-        None => utils.push(utilization),
-    }
-    drop(utils);
-    let mut blames = BLAMES.lock().expect("blames poisoned");
-    match blames.iter_mut().find(|b| b.sweep == name) {
-        Some(slot) => *slot = blame,
-        None => blames.push(blame),
+    match all.iter_mut().find(|f| f.summary.sweep == name) {
+        Some(slot) => *slot = folds,
+        None => all.push(folds),
     }
     Some(path)
 }
 
-/// Snapshot of every sweep attribution accumulated so far, in execution
-/// order. Baseline record/check consume this in-process.
+/// One family's view of every sweep exported so far, in execution order.
+fn snapshot<T>(pick: impl Fn(&SweepFolds) -> T) -> Vec<T> {
+    let all = FOLDS.lock().expect("fold registry poisoned");
+    all.iter().map(pick).collect()
+}
+
+/// Snapshot of every sweep attribution accumulated so far. Baseline
+/// record/check consume this in-process.
 pub fn attributions() -> Vec<SweepAttribution> {
-    ATTRIBUTIONS.lock().expect("attributions poisoned").clone()
+    snapshot(|f| f.attribution.clone())
 }
 
-/// Snapshot of every sweep utilization accumulated so far, in execution
-/// order. Baseline record/check gate counter means from this.
+/// Snapshot of every sweep utilization accumulated so far. Baseline
+/// record/check gate counter means from this.
 pub fn utilizations() -> Vec<SweepUtilization> {
-    UTILIZATIONS.lock().expect("utilizations poisoned").clone()
+    snapshot(|f| f.utilization.clone())
 }
 
-/// Snapshot of every sweep blame report accumulated so far, in
-/// execution order. Baseline record/check band per-resource cross
-/// shares from this; `repro blame` renders its study tables from it.
+/// Snapshot of every sweep blame report accumulated so far. Baseline
+/// record/check band per-resource cross shares from this; `repro blame`
+/// renders its study tables from it.
 pub fn blames() -> Vec<SweepBlame> {
-    BLAMES.lock().expect("blames poisoned").clone()
+    snapshot(|f| f.blame.clone())
 }
 
-/// Write the cumulative `telemetry.json` (all sweeps exported so far,
-/// in execution order). Returns the path, or `None` when tracing is off,
-/// artifacts are disabled, or nothing recorded.
-pub fn write_summary() -> Option<PathBuf> {
-    let cfg = config()?;
-    if !cfg.artifacts {
-        return None;
+/// Write one cumulative artifact `<dir>/<file>`: the shared
+/// `{schema, sweeps: [...]}` root over `emit` of every sweep exported so
+/// far. `Ok(None)` when tracing is off, artifacts are disabled, or
+/// nothing recorded.
+fn write_artifact(
+    file: &str,
+    emit: impl Fn(&SweepFolds) -> Value,
+) -> std::io::Result<Option<PathBuf>> {
+    let Some(cfg) = config().filter(|c| c.artifacts) else {
+        return Ok(None);
+    };
+    let sweeps = snapshot(emit);
+    if sweeps.is_empty() {
+        return Ok(None);
     }
-    let all = SUMMARIES.lock().expect("summaries poisoned");
-    if all.is_empty() {
-        return None;
-    }
-    let root = serde::Value::Object(vec![
-        ("schema".into(), serde::Value::U64(1)),
-        (
-            "sweeps".into(),
-            serde::Value::Array(all.iter().map(SweepSummary::to_value).collect()),
-        ),
+    let root = Value::Object(vec![
+        ("schema".into(), Value::U64(1)),
+        ("sweeps".into(), Value::Array(sweeps)),
     ]);
-    let path = cfg.dir.join("telemetry.json");
-    std::fs::create_dir_all(&cfg.dir).expect("trace directory must be creatable");
-    let text = serde_json::to_string_pretty(&root).expect("summary serializes");
-    std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    Some(path)
+    let path = cfg.dir.join(file);
+    std::fs::create_dir_all(&cfg.dir)?;
+    let text = serde_json::to_string_pretty(&root).expect("artifact serializes");
+    std::fs::write(&path, text)?;
+    Ok(Some(path))
+}
+
+/// Write the cumulative `telemetry.json` (merged stage histograms and
+/// totals per sweep). Returns the path, or `None` when there is nothing
+/// to write (see [`write_utilization`]); panics on I/O failure.
+pub fn write_summary() -> Option<PathBuf> {
+    write_artifact("telemetry.json", |f| f.summary.to_value())
+        .unwrap_or_else(|e| panic!("write telemetry.json: {e}"))
 }
 
 /// Write the cumulative `attribution.json` (per-stage shares and means
-/// for every sweep exported so far, in execution order). Returns the
-/// path, or `None` when tracing is off, artifacts are disabled, or
-/// nothing recorded.
+/// per point and per sweep). Returns the path, or `None` when there is
+/// nothing to write; panics on I/O failure.
 pub fn write_attribution() -> Option<PathBuf> {
-    let cfg = config()?;
-    if !cfg.artifacts {
-        return None;
-    }
-    let all = ATTRIBUTIONS.lock().expect("attributions poisoned");
-    if all.is_empty() {
-        return None;
-    }
-    let root = serde::Value::Object(vec![
-        ("schema".into(), serde::Value::U64(1)),
-        (
-            "sweeps".into(),
-            serde::Value::Array(all.iter().map(SweepAttribution::to_value).collect()),
-        ),
-    ]);
-    let path = cfg.dir.join("attribution.json");
-    std::fs::create_dir_all(&cfg.dir).expect("trace directory must be creatable");
-    let text = serde_json::to_string_pretty(&root).expect("attribution serializes");
-    std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    Some(path)
+    write_artifact("attribution.json", |f| f.attribution.to_value())
+        .unwrap_or_else(|e| panic!("write attribution.json: {e}"))
 }
 
 /// Write the cumulative `utilization.json` (windowed counter means,
-/// peaks, and saturation metrics for every sweep exported so far, in
-/// execution order). Returns `Ok(None)` when tracing is off, artifacts
-/// are disabled, or nothing recorded; unlike the older writers this
-/// surfaces I/O failures (unwritable directory, ...) as errors instead
-/// of panicking, so the CLI can fail with a named error.
+/// peaks, and saturation metrics). Returns `Ok(None)` when tracing is
+/// off, artifacts are disabled, or nothing recorded; I/O failures
+/// (unwritable directory, ...) surface as errors so the CLI can fail
+/// naming the path.
 pub fn write_utilization() -> std::io::Result<Option<PathBuf>> {
-    let Some(cfg) = config() else {
-        return Ok(None);
-    };
-    if !cfg.artifacts {
-        return Ok(None);
-    }
-    let all = UTILIZATIONS.lock().expect("utilizations poisoned");
-    if all.is_empty() {
-        return Ok(None);
-    }
-    let root = serde::Value::Object(vec![
-        ("schema".into(), serde::Value::U64(1)),
-        (
-            "sweeps".into(),
-            serde::Value::Array(all.iter().map(SweepUtilization::to_value).collect()),
-        ),
-    ]);
-    let path = cfg.dir.join("utilization.json");
-    std::fs::create_dir_all(&cfg.dir)?;
-    let text = serde_json::to_string_pretty(&root).expect("utilization serializes");
-    std::fs::write(&path, text)?;
-    Ok(Some(path))
+    write_artifact("utilization.json", |f| f.utilization.to_value())
 }
 
 /// Write the cumulative `blame.json` (per-resource source×victim blame
-/// matrices for every sweep exported so far, in execution order).
-/// Returns `Ok(None)` when tracing is off, artifacts are disabled, or
-/// nothing recorded; I/O failures surface as errors so the CLI can fail
-/// with a named path.
+/// matrices); same contract as [`write_utilization`].
 pub fn write_blame() -> std::io::Result<Option<PathBuf>> {
-    let Some(cfg) = config() else {
-        return Ok(None);
-    };
-    if !cfg.artifacts {
-        return Ok(None);
+    write_artifact("blame.json", |f| f.blame.to_value())
+}
+
+/// `num / den`, or 0 when nothing was recorded (`den == 0`): the one
+/// rule every mean, fraction and share in the artifacts derives by.
+pub(crate) fn frac(num: u128, den: u128) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
-    let all = BLAMES.lock().expect("blames poisoned");
-    if all.is_empty() {
-        return Ok(None);
-    }
-    let root = serde::Value::Object(vec![
-        ("schema".into(), serde::Value::U64(1)),
-        (
-            "sweeps".into(),
-            serde::Value::Array(all.iter().map(SweepBlame::to_value).collect()),
-        ),
+}
+
+/// Saturating `u128 → u64` for emitted picosecond and event sums.
+pub(crate) fn clamp(v: u128) -> u64 {
+    u64::try_from(v).unwrap_or(u64::MAX)
+}
+
+/// The value filed under `key` in a small association list kept in
+/// first-observation order, inserted via `new` when absent. Key sets
+/// here are tiny (about a dozen stages, a handful of sources), so a
+/// linear scan beats hashing and keeps the order deterministic.
+pub(crate) fn slot<K: PartialEq, V>(
+    list: &mut Vec<(K, V)>,
+    key: K,
+    new: impl FnOnce() -> V,
+) -> &mut V {
+    let i = list.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+        list.push((key, new()));
+        list.len() - 1
+    });
+    &mut list[i].1
+}
+
+/// One sweep's entry in a per-point artifact (`attribution.json`,
+/// `utilization.json`, `blame.json`): the envelope
+/// `{sweep, <extra...>, points, traced_points, per_point, merged}` that
+/// [`walk_sweeps`] parses back.
+pub(crate) fn sweep_value(
+    sweep: &str,
+    extra: Vec<(String, Value)>,
+    points: usize,
+    per_point: Vec<Value>,
+    merged: Value,
+) -> Value {
+    let mut fields = vec![("sweep".into(), Value::Str(sweep.into()))];
+    fields.extend(extra);
+    fields.extend([
+        ("points".into(), Value::U64(points as u64)),
+        ("traced_points".into(), Value::U64(per_point.len() as u64)),
+        ("per_point".into(), Value::Array(per_point)),
+        ("merged".into(), merged),
     ]);
-    let path = cfg.dir.join("blame.json");
-    std::fs::create_dir_all(&cfg.dir)?;
-    let text = serde_json::to_string_pretty(&root).expect("blame serializes");
-    std::fs::write(&path, text)?;
-    Ok(Some(path))
+    Value::Object(fields)
+}
+
+/// Parse a per-point artifact and validate the envelope every family
+/// shares — schema version, a `sweeps` array, and per sweep a name, full
+/// coverage (`traced_points == points`: a sweep with untraced points is
+/// a partial artifact) and `per_point` / `merged` entries — then hand
+/// `(name, sweep, per_point, merged)` to the family's `visit`. Every
+/// failure is collected, not just the first. Returns
+/// `(sweeps, traced points)` seen.
+pub(crate) fn walk_sweeps(
+    text: &str,
+    mut visit: impl FnMut(&str, &Value, &[Value], &Value, &mut Vec<String>),
+) -> Result<(usize, usize), Vec<String>> {
+    let root: Value =
+        serde_json::from_str(text).map_err(|e| vec![format!("not valid JSON: {e}")])?;
+    let mut errors: Vec<String> = Vec::new();
+    if root.get("schema").and_then(Value::as_u64) != Some(1) {
+        errors.push("missing or unknown schema version".into());
+    }
+    let Some(sweeps) = root.get("sweeps").and_then(Value::as_array) else {
+        errors.push("missing sweeps array".into());
+        return Err(errors);
+    };
+    let mut points = 0;
+    for sweep in sweeps {
+        let name = sweep
+            .get("sweep")
+            .and_then(Value::as_str)
+            .unwrap_or("<unnamed>");
+        let count = |field: &str| sweep.get(field).and_then(Value::as_u64);
+        match (count("points"), count("traced_points")) {
+            (Some(p), Some(t)) if p == t => {}
+            (Some(p), Some(t)) => errors.push(format!(
+                "{name}: only {t} of {p} points traced (partial artifact)"
+            )),
+            _ => errors.push(format!("{name}: missing points/traced_points")),
+        }
+        let per_point = sweep
+            .get("per_point")
+            .and_then(Value::as_array)
+            .unwrap_or_else(|| {
+                errors.push(format!("{name}: missing per_point array"));
+                &[]
+            });
+        points += per_point.len();
+        match sweep.get("merged") {
+            Some(merged) => visit(name, sweep, per_point, merged, &mut errors),
+            None => errors.push(format!("{name}: missing merged entry")),
+        }
+    }
+    if errors.is_empty() {
+        Ok((sweeps.len(), points))
+    } else {
+        Err(errors)
+    }
 }
 
 #[cfg(test)]

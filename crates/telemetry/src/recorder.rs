@@ -1,14 +1,16 @@
-//! The [`Recorder`] trait and its two implementations: the no-op default
-//! (every method is an empty body, so an uninstrumented run pays nothing)
-//! and [`TraceRecorder`], which buffers timeline events and aggregates
-//! per-stage latency histograms for one sweep point.
+//! [`TraceRecorder`]: buffers timeline events and aggregates per-stage
+//! latency histograms, counter windows and blame ledgers for one sweep
+//! point. Its probe methods are purely observational — a recorder never
+//! hands data back to the simulation, so installing one cannot change
+//! any result. The free functions in the crate root are the only
+//! probe-facing surface; each forwards to the method of the same name.
 
 use crate::counters::{CounterRecorder, CounterTrack, DEFAULT_WINDOW_PS};
 use thymesim_sim::{Dur, Histogram, Time};
 
 /// Identity of a workload phase: a static name plus an optional ordinal
 /// (BFS level, SSSP bucket, ...). Phases are declared by workloads via
-/// [`Recorder::phase_begin`] / [`Recorder::phase_end`]; every latency
+/// [`crate::phase_begin`] / [`crate::phase_end`]; every latency
 /// observation is attributed to the phase current at record time, so
 /// per-phase sub-histograms partition each stage histogram *exactly* —
 /// an observation lands in one phase bucket and the stage total, never
@@ -34,11 +36,7 @@ impl Phase {
     /// (same rule as sweep names on the filesystem) and the ordinal
     /// appends as `_<n>` — `bfs.level` 3 becomes `bfs_level_3`.
     pub fn label(&self) -> String {
-        let mut s: String = self
-            .name
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
+        let mut s = crate::flat_name(self.name);
         if let Some(i) = self.index {
             s.push('_');
             s.push_str(&i.to_string());
@@ -51,8 +49,8 @@ impl Phase {
 /// kind name plus an instance ordinal (`("inst", 3)` for an MCBN STREAM
 /// peer, `("lender", 1)` for a lender-local process, `("shard", 7)` for
 /// a serve shard). Processes declare their source via
-/// [`Recorder::source_begin`] each step — like phases — and every
-/// [`Recorder::blame_occupy`] / [`Recorder::blame_wait`] observation is
+/// [`crate::source_begin`] each step — like phases — and every
+/// [`crate::blame_occupy`] / [`crate::blame_wait`] observation is
 /// attributed to the source current at record time. Observations
 /// outside any marker belong to [`Source::MAIN`], so a single-workload
 /// point degenerates to all-self blame.
@@ -66,7 +64,7 @@ pub struct Source {
 
 impl Source {
     /// The implicit source of observations recorded outside any
-    /// [`Recorder::source_begin`] marker.
+    /// [`crate::source_begin`] marker.
     pub const MAIN: Source = Source {
         name: "main",
         index: 0,
@@ -77,14 +75,7 @@ impl Source {
     /// `("inst", 2)` becomes `inst_2`, [`Source::MAIN`] `main_0`.
     #[must_use]
     pub fn label(&self) -> String {
-        let mut s: String = self
-            .name
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        s.push('_');
-        s.push_str(&self.index.to_string());
-        s
+        format!("{}_{}", crate::flat_name(self.name), self.index)
     }
 }
 
@@ -92,7 +83,7 @@ impl Source {
 /// how much of the victim's total wait at the resource each culprit
 /// source is responsible for. The partition invariant —
 /// `self_ps + Σ by[..].1 == wait_ps` — holds integer-exactly for every
-/// entry by construction (see [`Recorder::blame_wait`]).
+/// entry by construction (see [`TraceRecorder::blame_wait`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlameEntry {
     /// Resource class label (`"gate"`, `"credit"`, `"link"`,
@@ -150,141 +141,6 @@ impl TraceEvent {
         }
     }
 }
-
-/// Probe-facing interface. Every method has a no-op default body, so a
-/// type opting into only some probes stays zero-cost for the rest, and
-/// [`NoopRecorder`] is simply the trait with nothing overridden.
-///
-/// Probes must be *purely observational*: a recorder never hands data
-/// back to the simulation, so enabling it cannot change any result.
-pub trait Recorder {
-    /// A completed interval `[start, end]` on `track`.
-    fn span(&mut self, track: &'static str, name: &'static str, start: Time, end: Time) {
-        let _ = (track, name, start, end);
-    }
-
-    /// Like [`Recorder::span`], with one `key = value` argument.
-    fn span_arg(
-        &mut self,
-        track: &'static str,
-        name: &'static str,
-        start: Time,
-        end: Time,
-        key: &'static str,
-        value: u64,
-    ) {
-        let _ = (track, name, start, end, key, value);
-    }
-
-    /// A point-in-time marker.
-    fn instant(&mut self, track: &'static str, name: &'static str, at: Time) {
-        let _ = (track, name, at);
-    }
-
-    /// A sampled counter value (queue depth, occupancy, ...).
-    fn counter(&mut self, name: &'static str, at: Time, value: f64) {
-        let _ = (name, at, value);
-    }
-
-    /// One observation of a per-stage latency (aggregated, never capped).
-    fn latency(&mut self, stage: &'static str, d: Dur) {
-        let _ = (stage, d);
-    }
-
-    /// Enter a workload phase; subsequent latency observations attribute
-    /// to it until the next `phase_begin` or [`Recorder::phase_end`].
-    /// Re-asserting the current phase is cheap and idempotent, which lets
-    /// interleaved processes (contention experiments time-share one
-    /// engine thread) each restate their phase per step.
-    fn phase_begin(&mut self, name: &'static str, index: Option<u64>) {
-        let _ = (name, index);
-    }
-
-    /// Leave the current phase; subsequent observations are `unphased`.
-    fn phase_end(&mut self) {}
-
-    /// Bump a monotonic total by `delta`.
-    fn add(&mut self, name: &'static str, delta: u64) {
-        let _ = (name, delta);
-    }
-
-    /// A component was occupied over `[start, end)` — folded onto fixed
-    /// virtual-time windows as a busy fraction. Callers must emit
-    /// non-overlapping intervals per counter.
-    fn counter_busy(&mut self, name: &'static str, start: Time, end: Time) {
-        let _ = (name, start, end);
-    }
-
-    /// An integer gauge held `level` over `[start, end)` — folded onto
-    /// windows as a time-weighted level. Overlapping segments add, so
-    /// one unit segment per waiting request folds into queue depth.
-    fn counter_level(&mut self, name: &'static str, start: Time, end: Time, level: u64) {
-        let _ = (name, start, end, level);
-    }
-
-    /// A numerator/denominator event pair at an instant (e.g. one cache
-    /// access that did or did not miss) — folded onto windows as a rate.
-    fn counter_ratio(&mut self, name: &'static str, at: Time, num: u64, den: u64) {
-        let _ = (name, at, num, den);
-    }
-
-    /// Declare a level counter's capacity (credit window size, ...).
-    fn counter_bound(&mut self, name: &'static str, bound: u64) {
-        let _ = (name, bound);
-    }
-
-    /// Declare the traffic source for subsequent blame observations,
-    /// until the next `source_begin` or [`Recorder::source_end`].
-    /// Re-asserting the current source is cheap and idempotent;
-    /// interleaved processes restate theirs each step, like phases.
-    fn source_begin(&mut self, name: &'static str, index: u64) {
-        let _ = (name, index);
-    }
-
-    /// Revert to [`Source::MAIN`]; later blame observations are
-    /// self-attributed to the main source.
-    fn source_end(&mut self) {}
-
-    /// The current source occupied `resource` over `[start, end)` —
-    /// appended to the resource's occupancy ledger so later waits can
-    /// be decomposed against it. Degenerate intervals record nothing.
-    fn blame_occupy(&mut self, resource: &'static str, start: Time, end: Time) {
-        let _ = (resource, start, end);
-    }
-
-    /// The current source waited at `resource` from `arrival` until
-    /// `start`, and the wait is decomposed **integer-exactly** into
-    /// per-source blame against the resource's occupancy ledger: each
-    /// source is charged its ledger overlap with `[arrival, start)`;
-    /// when overlapping segments (credit holders, serve workers) sum
-    /// past the wait, charges scale down by largest-remainder
-    /// apportionment so they still sum to exactly the wait; any
-    /// uncovered residual is self-blame. Ledger segments wholly before
-    /// `arrival` are pruned (bounded memory).
-    fn blame_wait(&mut self, resource: &'static str, arrival: Time, start: Time) {
-        let _ = (resource, arrival, start);
-    }
-
-    /// Claim one instance slot of an exclusive counter family; returns
-    /// the zero-based slot. Components whose busy/level tracks must not
-    /// overlap (serial links, memory buses, credit windows, delay gates)
-    /// claim at construction and record only from slot 0, so experiments
-    /// that build several instances inside one point (congestion pairs,
-    /// pooling) keep every window fraction within [0, 1]. Slots are
-    /// deterministic: each point simulates on exactly one thread and
-    /// constructs its components in a fixed order.
-    fn claim(&mut self, family: &'static str) -> u64 {
-        let _ = family;
-        0
-    }
-}
-
-/// The trait's no-op default, reified. Exists mostly for tests and for
-/// call sites that want an explicit "recording disabled" value.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 /// Everything one sweep point recorded, ready for export.
 #[derive(Clone, Debug, Default)]
@@ -386,8 +242,10 @@ impl TraceRecorder {
     }
 }
 
-impl Recorder for TraceRecorder {
-    fn span(&mut self, track: &'static str, name: &'static str, start: Time, end: Time) {
+/// The probe methods, one per free function in the crate root (which
+/// carry the caller-facing documentation).
+impl TraceRecorder {
+    pub fn span(&mut self, track: &'static str, name: &'static str, start: Time, end: Time) {
         self.push(TraceEvent::Span {
             track,
             name,
@@ -397,7 +255,7 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn span_arg(
+    pub fn span_arg(
         &mut self,
         track: &'static str,
         name: &'static str,
@@ -415,7 +273,7 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn instant(&mut self, track: &'static str, name: &'static str, at: Time) {
+    pub fn instant(&mut self, track: &'static str, name: &'static str, at: Time) {
         self.push(TraceEvent::Instant {
             track,
             name,
@@ -423,7 +281,7 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn counter(&mut self, name: &'static str, at: Time, value: f64) {
+    pub fn counter(&mut self, name: &'static str, at: Time, value: f64) {
         self.push(TraceEvent::Counter {
             name,
             at_ps: at.as_ps(),
@@ -431,18 +289,12 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn latency(&mut self, stage: &'static str, d: Dur) {
-        // Stage sets are small (≈ a dozen); a linear scan beats hashing
-        // and keeps first-observation order, which is deterministic
-        // because each point's simulation is single-threaded.
-        match self.stages.iter_mut().find(|(s, _)| *s == stage) {
-            Some((_, h)) => h.record(d.as_ps()),
-            None => {
-                let mut h = Histogram::new();
-                h.record(d.as_ps());
-                self.stages.push((stage, h));
-            }
-        }
+    /// One observation lands in the stage histogram *and* in exactly one
+    /// (stage, current phase) bucket.
+    pub fn latency(&mut self, stage: &'static str, d: Dur) {
+        // First-observation order is deterministic because each
+        // point's simulation is single-threaded.
+        crate::slot(&mut self.stages, stage, Histogram::new).record(d.as_ps());
         // Mirror the observation into the (stage, current-phase) bucket:
         // one record into the stage total, one into exactly one phase —
         // that is what makes the per-phase partition integer-exact.
@@ -461,71 +313,69 @@ impl Recorder for TraceRecorder {
         }
     }
 
-    fn phase_begin(&mut self, name: &'static str, index: Option<u64>) {
+    pub fn phase_begin(&mut self, name: &'static str, index: Option<u64>) {
         self.phase = Phase { name, index };
     }
 
-    fn phase_end(&mut self) {
+    pub fn phase_end(&mut self) {
         self.phase = Phase::UNPHASED;
     }
 
-    fn add(&mut self, name: &'static str, delta: u64) {
-        match self.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, c)) => *c += delta,
-            None => self.counters.push((name, delta)),
-        }
+    pub fn add(&mut self, name: &'static str, delta: u64) {
+        *crate::slot(&mut self.counters, name, || 0) += delta;
     }
 
-    fn counter_busy(&mut self, name: &'static str, start: Time, end: Time) {
+    pub fn counter_busy(&mut self, name: &'static str, start: Time, end: Time) {
         self.windowed.busy(name, start.as_ps(), end.as_ps());
     }
 
-    fn counter_level(&mut self, name: &'static str, start: Time, end: Time, level: u64) {
+    pub fn counter_level(&mut self, name: &'static str, start: Time, end: Time, level: u64) {
         self.windowed.level(name, start.as_ps(), end.as_ps(), level);
     }
 
-    fn counter_ratio(&mut self, name: &'static str, at: Time, num: u64, den: u64) {
+    pub fn counter_ratio(&mut self, name: &'static str, at: Time, num: u64, den: u64) {
         self.windowed.ratio(name, at.as_ps(), num, den);
     }
 
-    fn counter_bound(&mut self, name: &'static str, bound: u64) {
+    pub fn counter_bound(&mut self, name: &'static str, bound: u64) {
         self.windowed.bound(name, bound);
     }
 
-    fn claim(&mut self, family: &'static str) -> u64 {
-        match self.claims.iter_mut().find(|(f, _)| *f == family) {
-            Some((_, n)) => {
-                *n += 1;
-                *n - 1
-            }
-            None => {
-                self.claims.push((family, 1));
-                0
-            }
-        }
+    /// Next zero-based instance slot of an exclusive counter family.
+    /// Slots are deterministic: each point simulates on exactly one
+    /// thread and constructs its components in a fixed order.
+    pub fn claim(&mut self, family: &'static str) -> u64 {
+        let next = crate::slot(&mut self.claims, family, || 0);
+        *next += 1;
+        *next - 1
     }
 
-    fn source_begin(&mut self, name: &'static str, index: u64) {
+    pub fn source_begin(&mut self, name: &'static str, index: u64) {
         self.source = Source { name, index };
     }
 
-    fn source_end(&mut self) {
+    pub fn source_end(&mut self) {
         self.source = Source::MAIN;
     }
 
-    fn blame_occupy(&mut self, resource: &'static str, start: Time, end: Time) {
+    /// Append `[start, end)` to the resource's occupancy ledger under
+    /// the current source. Degenerate intervals record nothing.
+    pub fn blame_occupy(&mut self, resource: &'static str, start: Time, end: Time) {
         let (s, e) = (start.as_ps(), end.as_ps());
         if e <= s {
             return;
         }
-        let src = self.source;
-        match self.ledgers.iter_mut().find(|(r, _)| *r == resource) {
-            Some((_, segs)) => segs.push((s, e, src)),
-            None => self.ledgers.push((resource, vec![(s, e, src)])),
-        }
+        crate::slot(&mut self.ledgers, resource, Vec::new).push((s, e, self.source));
     }
 
-    fn blame_wait(&mut self, resource: &'static str, arrival: Time, start: Time) {
+    /// Decompose the wait `[arrival, start)` **integer-exactly** against
+    /// the resource's occupancy ledger: each source is charged its
+    /// ledger overlap with the wait; when overlapping segments (credit
+    /// holders, serve workers) sum past the wait, charges scale down by
+    /// largest-remainder apportionment so they still sum to exactly the
+    /// wait; any uncovered residual is self-blame. Ledger segments
+    /// wholly before `arrival` are pruned (bounded memory).
+    pub fn blame_wait(&mut self, resource: &'static str, arrival: Time, start: Time) {
         let (a, s) = (arrival.as_ps(), start.as_ps());
         let wait = s.saturating_sub(a);
         let victim = self.source;
@@ -547,10 +397,7 @@ impl Recorder for TraceRecorder {
                     if o == 0 {
                         continue;
                     }
-                    match over.iter_mut().find(|(x, _)| *x == src) {
-                        Some((_, acc)) => *acc += o,
-                        None => over.push((src, o)),
-                    }
+                    *crate::slot(&mut over, src, || 0) += o;
                 }
                 let total: u128 = over.iter().map(|(_, o)| o).sum();
                 if total == 0 {
@@ -615,10 +462,7 @@ impl Recorder for TraceRecorder {
             if src == victim {
                 entry.self_ps += ps;
             } else {
-                match entry.by.iter_mut().find(|(c, _)| *c == src) {
-                    Some((_, acc)) => *acc += ps,
-                    None => entry.by.push((src, ps)),
-                }
+                *crate::slot(&mut entry.by, src, || 0) += ps;
             }
         }
         // Mirror the cross share onto a windowed `blame.*` ratio track
@@ -632,16 +476,6 @@ impl Recorder for TraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_recorder_accepts_everything() {
-        let mut r = NoopRecorder;
-        r.span("t", "a", Time::ZERO, Time::ns(10));
-        r.instant("t", "b", Time::ns(5));
-        r.counter("c", Time::ns(5), 1.0);
-        r.latency("s", Dur::ns(3));
-        r.add("n", 2);
-    }
 
     #[test]
     fn trace_recorder_buffers_and_aggregates() {

@@ -99,7 +99,7 @@ impl SweepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, TraceRecorder};
+    use crate::recorder::TraceRecorder;
     use thymesim_sim::{Dur, Time};
 
     fn point(index: usize, base: u64) -> PointTrace {

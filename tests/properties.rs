@@ -6,7 +6,7 @@ use thymesim::prelude::*;
 use thymesim::sim::Time;
 use thymesim_telemetry::attribution::READ_ANATOMY;
 use thymesim_telemetry::{
-    PointTrace, Recorder, SweepAttribution, SweepBlame, SweepUtilization, TraceRecorder,
+    PointTrace, SweepAttribution, SweepBlame, SweepUtilization, TraceRecorder,
 };
 
 fn stream_cfg(elements: u64) -> StreamConfig {
