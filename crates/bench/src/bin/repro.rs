@@ -5,11 +5,8 @@
 //! cargo run --release -p thymesim-bench --bin repro -- fig2 --profile quick
 //! ```
 //!
-//! Subcommands: `validate` (Fig 2 + Fig 3 + §III-B checks), `fig4`,
-//! `table1`, `fig5`, `fig6`, `fig7`, `dist` (the §VII future-work
-//! extension), `ablate` (window / write-back-gating ablations), `serve`
-//! (E17 open-loop serving tails + admission control), `kernels` (E19
-//! GAP kernels on flat vs compressed CSR, oracle-gated), `all`.
+//! Subcommands: one per row of the `EXPERIMENTS` table below, plus
+//! `all` and `list` — `repro list` prints them with what each produces.
 //!
 //! Profiles trade run time for scale (working sets and caches scale
 //! together so every workload stays memory-bound):
@@ -138,73 +135,24 @@ fn main() {
 
     let started = Instant::now();
     match cmd {
-        "validate" | "fig2" | "fig3" => timed("validate", || run_validate(&profile)),
-        "fig4" => timed("fig4", || run_fig4(&profile)),
-        "table1" => timed("table1", || run_table1(&profile)),
-        "fig5" => timed("fig5", || run_fig5(&profile)),
-        "fig6" => timed("fig6", || run_fig6(&profile)),
-        "fig7" => timed("fig7", || run_fig7(&profile)),
-        "dram" => timed("dram", || run_dram(&profile)),
-        "dist" => timed("dist", || run_dist(&profile)),
-        "ablate" => timed("ablate", || run_ablate(&profile)),
-        "congestion" => timed("congestion", || run_congestion(&profile)),
-        "topology" => timed("topology", || run_topology(&profile)),
-        "pooling" => timed("pooling", || run_pooling(&profile)),
-        "qos" => timed("qos", || run_qos(&profile)),
-        "serve" => timed("serve", || run_serve(&profile)),
-        "sensitivity" => timed("sensitivity", || run_sensitivity(&profile)),
-        "placement" => timed("placement", || run_placement(&profile)),
-        "kernels" => timed("kernels", || run_kernels(&profile)),
-        "blame" => timed("blame", || run_blame(&profile)),
-        "list" => {
-            println!("experiment  paper artifact / extension");
-            println!("validate    Fig 2 + Fig 3 + §III-B checks");
-            println!("fig4        Fig 4 reliability sweep");
-            println!("table1      Table I application impact");
-            println!("fig5        Fig 5 degradation sweep");
-            println!("fig6        Fig 6 MCBN contention");
-            println!("fig7        Fig 7 MCLN contention");
-            println!("dram        E18 MCLN on the banked row-buffer DRAM model");
-            println!("dist        §VII distribution-driven injection");
-            println!("ablate      window/BDP, write-back gating, KV pipelining");
-            println!("congestion  E11 switched-fabric congestion + emulation fidelity");
-            println!("topology    E11b intra- vs cross-rack borrowing");
-            println!("pooling     E12 §V memory pooling");
-            println!("qos         E13 §IV-D page migration");
-            println!("serve       E17 open-loop serving tails + admission control");
-            println!("sensitivity E15 calibration tornado");
-            println!("placement   E16 contention-aware allocator");
-            println!("kernels     E19 GAP kernels (CC/BC/TC) at scale on flat vs compressed CSR");
-            println!("blame       E20 interference provenance: per-source queueing blame");
-            println!("all         everything above (except blame, which is a telemetry study)");
-        }
+        "list" => print_list(),
         "all" => {
-            timed("validate", || run_validate(&profile));
-            timed("fig4", || run_fig4(&profile));
-            timed("table1", || run_table1(&profile));
-            timed("fig5", || run_fig5(&profile));
-            timed("fig6", || run_fig6(&profile));
-            timed("fig7", || run_fig7(&profile));
-            timed("dram", || run_dram(&profile));
-            timed("dist", || run_dist(&profile));
-            timed("ablate", || run_ablate(&profile));
-            timed("congestion", || run_congestion(&profile));
-            timed("topology", || run_topology(&profile));
-            timed("pooling", || run_pooling(&profile));
-            timed("qos", || run_qos(&profile));
-            timed("serve", || run_serve(&profile));
-            timed("sensitivity", || run_sensitivity(&profile));
-            timed("placement", || run_placement(&profile));
-            timed("kernels", || run_kernels(&profile));
+            for (names, _, in_all, run) in EXPERIMENTS {
+                if in_all {
+                    timed(names[0], || run(&profile));
+                }
+            }
         }
-        other => {
-            eprintln!(
-                "unknown experiment '{other}'; expected one of: validate fig2 fig3 fig4 \
-                 table1 fig5 fig6 fig7 dram dist ablate congestion topology pooling qos \
-                 serve sensitivity placement kernels blame all"
-            );
-            std::process::exit(2);
-        }
+        _ => match EXPERIMENTS.iter().find(|(names, ..)| names.contains(&cmd)) {
+            Some((names, _, _, run)) => timed(names[0], || run(&profile)),
+            None => {
+                eprintln!(
+                    "unknown experiment '{cmd}'; expected one of: {}",
+                    command_names().join(" ")
+                );
+                std::process::exit(2);
+            }
+        },
     }
     if cmd != "list" {
         let wall = started.elapsed();
@@ -223,6 +171,63 @@ fn main() {
             run_baseline(mode, cmd, &profile);
         }
     }
+}
+
+/// One experiment: its command names (the first is canonical, the rest
+/// are aliases), what it produces, whether `all` runs it, its runner.
+type Experiment = (&'static [&'static str], &'static str, bool, fn(&Profile));
+
+/// Every experiment, in `all` order. Dispatch, `list`, `all` and the
+/// unknown-command message all read this table.
+#[rustfmt::skip] // one row per experiment
+const EXPERIMENTS: [Experiment; 18] = [
+    (&["validate", "fig2", "fig3"], "Fig 2 + Fig 3 + §III-B checks", true, run_validate),
+    (&["fig4"], "Fig 4 reliability sweep", true, run_fig4),
+    (&["table1"], "Table I application impact", true, run_table1),
+    (&["fig5"], "Fig 5 degradation sweep", true, run_fig5),
+    (&["fig6"], "Fig 6 MCBN contention", true, run_fig6),
+    (&["fig7"], "Fig 7 MCLN contention", true, run_fig7),
+    (&["dram"], "E18 MCLN on the banked row-buffer DRAM model", true, run_dram),
+    (&["dist"], "§VII distribution-driven injection", true, run_dist),
+    (&["ablate"], "window/BDP, write-back gating, KV pipelining", true, run_ablate),
+    (&["congestion"], "E11 switched-fabric congestion + emulation fidelity", true, run_congestion),
+    (&["topology"], "E11b intra- vs cross-rack borrowing", true, run_topology),
+    (&["pooling"], "E12 §V memory pooling", true, run_pooling),
+    (&["qos"], "E13 §IV-D page migration", true, run_qos),
+    (&["serve"], "E17 open-loop serving tails + admission control", true, run_serve),
+    (&["sensitivity"], "E15 calibration tornado", true, run_sensitivity),
+    (&["placement"], "E16 contention-aware allocator", true, run_placement),
+    (&["kernels"], "E19 GAP kernels (CC/BC/TC) at scale on flat vs compressed CSR", true, run_kernels),
+    (&["blame"], "E20 interference provenance: per-source queueing blame", false, run_blame),
+];
+
+/// Every name `repro` dispatches on: experiments with their aliases,
+/// then the two meta commands.
+fn command_names() -> Vec<&'static str> {
+    let experiments = EXPERIMENTS.iter().flat_map(|(names, ..)| names.iter());
+    experiments.copied().chain(["all", "list"]).collect()
+}
+
+fn print_list() {
+    println!("{:<12}paper artifact / extension", "experiment");
+    for (names, what, ..) in EXPERIMENTS {
+        let aliases = match &names[1..] {
+            [] => String::new(),
+            rest => format!(" (aliases: {})", rest.join(" ")),
+        };
+        println!("{:<12}{what}{aliases}", names[0]);
+    }
+    let skipped: Vec<&str> = EXPERIMENTS
+        .iter()
+        .filter(|(_, _, in_all, _)| !in_all)
+        .map(|(names, ..)| names[0])
+        .collect();
+    println!(
+        "{:<12}everything above (except {}, a telemetry study)",
+        "all",
+        skipped.join(", ")
+    );
+    println!("{:<12}this table", "list");
 }
 
 /// Writes one merged telemetry artifact: the path, or `None` when

@@ -17,14 +17,15 @@
 //!   pool-class device they collapse together.
 
 use crate::config::TestbedConfig;
+use crate::runners::{Nodes, Site, StreamParty};
 use crate::sweep;
 use crate::testbed::Testbed;
 use serde::{Deserialize, Serialize};
-use thymesim_fabric::{shared_link, SharedLink};
-use thymesim_mem::{shared_dram, DramConfig, SharedDram};
+use thymesim_fabric::{shared_link, FabricEngine, SharedLink};
+use thymesim_mem::{shared_dram, DramConfig, MemSystem, NoRemote, SharedDram};
 use thymesim_net::{LinkConfig, TreeConfig, TreeTopology};
-use thymesim_sim::{run_processes, Process, Step, Time};
-use thymesim_workloads::stream::{StreamArrays, StreamConfig, StreamProcess};
+use thymesim_sim::{run_processes, Time};
+use thymesim_workloads::stream::{StreamConfig, StreamProcess};
 
 /// Several independent borrower–lender pairs advancing on one timeline.
 pub struct MultiPair {
@@ -40,36 +41,26 @@ impl MultiPair {
     }
 }
 
-/// A STREAM instance bound to one pair.
-struct PairStream {
-    idx: usize,
-    p: StreamProcess,
-}
-
-impl Process<MultiPair> for PairStream {
-    fn next_time(&self) -> Time {
-        self.p.next_time()
+impl Nodes for MultiPair {
+    fn borrower(&mut self, i: usize) -> &mut MemSystem<FabricEngine> {
+        &mut self.testbeds[i].borrower
     }
-    fn step(&mut self, shared: &mut MultiPair) -> Step {
-        self.p.step_on(&mut shared.testbeds[self.idx].borrower)
+    fn lender(&mut self, i: usize) -> &mut MemSystem<NoRemote> {
+        &mut self.testbeds[i].lender
     }
 }
 
+/// One STREAM instance per pair, each on its own borrower.
 fn run_pairs(mut pairs: MultiPair, stream: &StreamConfig) -> (MultiPair, Vec<StreamProcess>) {
-    let mut procs: Vec<PairStream> = Vec::with_capacity(pairs.testbeds.len());
-    for idx in 0..pairs.testbeds.len() {
-        let tb = &mut pairs.testbeds[idx];
-        let arrays = StreamArrays::alloc(&mut tb.remote_arena, stream.elements);
-        arrays.init(&mut tb.borrower);
-        let start = tb.attach.ready_at;
-        procs.push(PairStream {
-            idx,
-            p: StreamProcess::new(*stream, arrays, start),
-        });
-    }
+    let mut procs: Vec<StreamParty> = pairs
+        .testbeds
+        .iter_mut()
+        .enumerate()
+        .map(|(idx, tb)| StreamParty::spawn(tb, Site::Borrower(idx), stream, "main", 0))
+        .collect();
     let stats = run_processes(&mut procs, &mut pairs, Time::NEVER);
     assert_eq!(stats.finished, procs.len(), "pairs did not finish");
-    (pairs, procs.into_iter().map(|ps| ps.p).collect())
+    (pairs, procs.into_iter().map(|p| p.inner).collect())
 }
 
 // ---------------------------------------------------------------------------

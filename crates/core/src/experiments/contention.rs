@@ -9,13 +9,13 @@
 //!   bandwidth barely moves (Fig. 7).
 
 use crate::config::TestbedConfig;
-use crate::runners::{NodeStream, StreamProc};
+use crate::runners::{spawn_stream, Site, StreamParty, StreamProc};
 use crate::sweep;
 use crate::testbed::Testbed;
 use serde::{Deserialize, Serialize};
 use thymesim_mem::{shared_dram, BankedDramConfig, DramModel, SharedDram};
 use thymesim_sim::{run_processes, Time};
-use thymesim_workloads::stream::{StreamArrays, StreamConfig, StreamProcess};
+use thymesim_workloads::stream::StreamConfig;
 
 /// Instance counts used in the paper's contention figures.
 pub const FIG6_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -61,16 +61,13 @@ pub fn mcbn(base: &TestbedConfig, stream: &StreamConfig, counts: &[usize]) -> Ve
         let n = pt.instances;
         assert!(n >= 1);
         let mut tb = Testbed::build(&pt.cfg).expect("MCBN attach");
-        let mut procs = Vec::with_capacity(n);
-        for i in 0..n {
-            let arrays = StreamArrays::alloc(&mut tb.remote_arena, pt.stream.elements);
-            arrays.init(&mut tb.borrower);
-            procs.push(StreamProc::tagged(
-                StreamProcess::new(pt.stream, arrays, tb.attach.ready_at),
-                "inst",
-                i as u64,
-            ));
-        }
+        let start = tb.attach.ready_at;
+        let mut procs: Vec<StreamProc> = (0..n)
+            .map(|i| {
+                let p = spawn_stream(&mut tb.borrower, &mut tb.remote_arena, &pt.stream, start);
+                StreamProc::tagged(p, "inst", i as u64)
+            })
+            .collect();
         let stats = run_processes(&mut procs, &mut tb.borrower, Time::NEVER);
         assert_eq!(stats.finished, n, "instances did not finish");
         let bws: Vec<f64> = procs
@@ -98,42 +95,34 @@ pub struct MclnPoint {
     pub lender_aggregate_gib_s: f64,
 }
 
+/// The MCLN point body on a built testbed: the measured borrower
+/// instance over disaggregated memory against `n` instances on the
+/// lender's own memory (lender-side STREAM keeps a resident working set
+/// on its local DRAM; Graph500-class MLP is irrelevant — they just burn
+/// bus bandwidth). Returns (borrower, lender aggregate) GiB/s.
+fn run_mcln_point(tb: &mut Testbed, stream: &StreamConfig, n: usize) -> (f64, f64) {
+    let mut procs: Vec<StreamParty> = std::iter::once((Site::Borrower(0), "borrower", 0))
+        .chain((0..n as u64).map(|i| (Site::Lender(0), "lender", i)))
+        .map(|(site, name, i)| StreamParty::spawn(tb, site, stream, name, i))
+        .collect();
+    let stats = run_processes(&mut procs, tb, Time::NEVER);
+    assert_eq!(stats.finished, n + 1);
+    let lender_aggregate = procs[1..]
+        .iter()
+        .map(|p| p.inner.mean_bandwidth_gib_s())
+        .sum();
+    (procs[0].inner.mean_bandwidth_gib_s(), lender_aggregate)
+}
+
 /// Run MCLN at each lender instance count.
 pub fn mcln(base: &TestbedConfig, stream: &StreamConfig, counts: &[usize]) -> Vec<MclnPoint> {
     let grid = contention_grid(base, stream, counts);
     let mut points = sweep::run("contention/mcln", &grid, |_ctx, pt| {
-        let n = pt.instances;
         let mut tb = Testbed::build(&pt.cfg).expect("MCLN attach");
-        let mut procs: Vec<NodeStream> = Vec::with_capacity(n + 1);
-        // The measured borrower instance, over disaggregated memory.
-        let arrays = StreamArrays::alloc(&mut tb.remote_arena, pt.stream.elements);
-        arrays.init(&mut tb.borrower);
-        procs.push(NodeStream::Borrower(StreamProcess::new(
-            pt.stream,
-            arrays,
-            tb.attach.ready_at,
-        )));
-        // Contending instances on the lender's own memory. Lender-side
-        // STREAM keeps a resident working set on its local DRAM;
-        // Graph500-class MLP is irrelevant — they just burn bus
-        // bandwidth.
-        for i in 0..n {
-            let arrays = StreamArrays::alloc(&mut tb.lender_arena, pt.stream.elements);
-            arrays.init(&mut tb.lender);
-            procs.push(NodeStream::Lender(
-                StreamProcess::new(pt.stream, arrays, tb.attach.ready_at),
-                i as u64,
-            ));
-        }
-        let stats = run_processes(&mut procs, &mut tb, Time::NEVER);
-        assert_eq!(stats.finished, n + 1);
-        let borrower_gib_s = procs[0].inner().mean_bandwidth_gib_s();
-        let lender_aggregate_gib_s = procs[1..]
-            .iter()
-            .map(|p| p.inner().mean_bandwidth_gib_s())
-            .sum();
+        let (borrower_gib_s, lender_aggregate_gib_s) =
+            run_mcln_point(&mut tb, &pt.stream, pt.instances);
         MclnPoint {
-            lender_instances: n,
+            lender_instances: pt.instances,
             borrower_gib_s,
             lender_aggregate_gib_s,
         }
@@ -176,7 +165,6 @@ pub fn mcln_banked(
         .with_lender_dram(DramModel::Banked(BankedDramConfig::ddr4()));
     let grid = contention_grid(&banked, stream, counts);
     let mut points = sweep::run("contention/mcln_banked", &grid, |_ctx, pt| {
-        let n = pt.instances;
         // Keep a handle on the lender bus to read the row stats after
         // the run (the testbed shares it between the lender's CPU side
         // and the fabric engine).
@@ -184,33 +172,12 @@ pub fn mcln_banked(
         let mut tb =
             Testbed::build_with_lender_bus(&pt.cfg, Time::ZERO, SharedDram::clone(&lender_bus))
                 .expect("banked MCLN attach");
-        let mut procs: Vec<NodeStream> = Vec::with_capacity(n + 1);
-        let arrays = StreamArrays::alloc(&mut tb.remote_arena, pt.stream.elements);
-        arrays.init(&mut tb.borrower);
-        procs.push(NodeStream::Borrower(StreamProcess::new(
-            pt.stream,
-            arrays,
-            tb.attach.ready_at,
-        )));
-        for i in 0..n {
-            let arrays = StreamArrays::alloc(&mut tb.lender_arena, pt.stream.elements);
-            arrays.init(&mut tb.lender);
-            procs.push(NodeStream::Lender(
-                StreamProcess::new(pt.stream, arrays, tb.attach.ready_at),
-                i as u64,
-            ));
-        }
-        let stats = run_processes(&mut procs, &mut tb, Time::NEVER);
-        assert_eq!(stats.finished, n + 1);
-        let borrower_gib_s = procs[0].inner().mean_bandwidth_gib_s();
-        let lender_aggregate_gib_s = procs[1..]
-            .iter()
-            .map(|p| p.inner().mean_bandwidth_gib_s())
-            .sum();
+        let (borrower_gib_s, lender_aggregate_gib_s) =
+            run_mcln_point(&mut tb, &pt.stream, pt.instances);
         let bus = lender_bus.borrow();
         let rs = bus.row_stats().expect("lender bus runs the banked model");
         MclnBankedPoint {
-            lender_instances: n,
+            lender_instances: pt.instances,
             borrower_gib_s,
             lender_aggregate_gib_s,
             row_hit_rate: rs.hit_rate(),

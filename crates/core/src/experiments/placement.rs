@@ -15,12 +15,14 @@
 
 use crate::config::TestbedConfig;
 use crate::experiments::beyond::MultiPair;
+use crate::runners::{spawn_stream, Nodes, Site, StreamParty};
 use crate::sweep;
-use crate::testbed::Testbed;
+use crate::testbed::{lender_node, Testbed};
 use serde::Serialize;
-use thymesim_mem::{shared_dram, DramConfig, SharedDram};
-use thymesim_sim::{run_processes, Process, Step, Time};
-use thymesim_workloads::stream::{StreamArrays, StreamConfig, StreamProcess};
+use thymesim_fabric::FabricEngine;
+use thymesim_mem::{shared_dram, DramConfig, MemSystem, NoRemote, SharedDram};
+use thymesim_sim::{run_processes, Time};
+use thymesim_workloads::stream::StreamConfig;
 
 /// How the control plane picks a lender for each reservation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -51,41 +53,20 @@ pub struct PlacementPoint {
     pub min_borrower_gib_s: f64,
 }
 
-/// Lender-side STREAM instances emulating the pre-existing local load.
-struct LenderLoad {
-    lender_idx: usize,
-    p: StreamProcess,
-}
-
-enum AnyProc {
-    Borrower { pair_idx: usize, p: StreamProcess },
-    Lender(LenderLoad),
-}
-
+/// The borrower pairs plus one memory system per lender-side local app
+/// (the pre-existing load sharing its lender's bus).
 struct World {
     pairs: MultiPair,
-    lender_systems: Vec<thymesim_mem::MemSystem<thymesim_mem::NoRemote>>,
+    lender_systems: Vec<MemSystem<NoRemote>>,
 }
 
-impl Process<World> for AnyProc {
-    fn next_time(&self) -> Time {
-        match self {
-            AnyProc::Borrower { p, .. } => p.next_time(),
-            AnyProc::Lender(l) => l.p.next_time(),
-        }
+impl Nodes for World {
+    fn borrower(&mut self, i: usize) -> &mut MemSystem<FabricEngine> {
+        &mut self.pairs.testbeds[i].borrower
     }
-    fn step(&mut self, shared: &mut World) -> Step {
-        match self {
-            AnyProc::Borrower { pair_idx, p } => {
-                p.step_on(&mut shared.pairs.testbeds[*pair_idx].borrower)
-            }
-            AnyProc::Lender(l) => p_step(l, shared),
-        }
+    fn lender(&mut self, i: usize) -> &mut MemSystem<NoRemote> {
+        &mut self.lender_systems[i]
     }
-}
-
-fn p_step(l: &mut LenderLoad, shared: &mut World) -> Step {
-    l.p.step_on(&mut shared.lender_systems[l.lender_idx])
 }
 
 /// Run `borrowers` borrowers against a pool of `lenders` lenders, half of
@@ -144,57 +125,32 @@ pub fn placement_run(
     let mut lender_load_cfg = *stream;
     lender_load_cfg.ntimes = stream.ntimes * 8;
     let mut lender_systems = Vec::new();
-    let mut procs: Vec<AnyProc> = Vec::new();
-    for (li, lender) in pool.iter().enumerate() {
+    let mut procs: Vec<StreamParty> = Vec::new();
+    for lender in &pool {
         for _ in 0..lender.local_apps {
-            let map = thymesim_mem::AddressMap::new(
-                base.lender_size,
-                base.fabric.line_bytes,
-                base.fabric.line_bytes,
-            );
-            let mut sys = thymesim_mem::MemSystem::new(
-                map,
-                base.lender.cache,
-                SharedDram::clone(&lender.bus),
-                base.lender.timing,
-                thymesim_mem::NoRemote,
-            );
-            let mut arena = thymesim_mem::Arena::new(thymesim_mem::Addr(0), base.lender_size);
-            let arrays = StreamArrays::alloc(&mut arena, stream.elements);
-            arrays.init(&mut sys);
-            let idx = lender_systems.len();
+            let (mut sys, mut arena) = lender_node(base, SharedDram::clone(&lender.bus));
+            let p = spawn_stream(&mut sys, &mut arena, &lender_load_cfg, Time::ZERO);
+            procs.push(StreamParty::new(
+                p,
+                Site::Lender(lender_systems.len()),
+                "main",
+                0,
+            ));
             lender_systems.push(sys);
-            procs.push(AnyProc::Lender(LenderLoad {
-                lender_idx: idx,
-                p: StreamProcess::new(lender_load_cfg, arrays, Time::ZERO),
-            }));
-            let _ = li;
         }
     }
     let mut world = World {
         pairs: MultiPair { testbeds },
         lender_systems,
     };
-    for pair_idx in 0..borrowers {
-        let tb = &mut world.pairs.testbeds[pair_idx];
-        let arrays = StreamArrays::alloc(&mut tb.remote_arena, stream.elements);
-        arrays.init(&mut tb.borrower);
-        let start = tb.attach.ready_at;
-        procs.push(AnyProc::Borrower {
-            pair_idx,
-            p: StreamProcess::new(*stream, arrays, start),
-        });
-    }
-    // Run until the borrowers are done; lender services keep running.
-    let stats = run_processes(&mut procs, &mut world, Time::NEVER);
-    let _ = stats;
+    let first_borrower = procs.len();
+    let pairs = world.pairs.testbeds.iter_mut().enumerate();
+    procs.extend(pairs.map(|(i, tb)| StreamParty::spawn(tb, Site::Borrower(i), stream, "main", 0)));
+    run_processes(&mut procs, &mut world, Time::NEVER);
 
-    let borrower_bw: Vec<f64> = procs
+    let borrower_bw: Vec<f64> = procs[first_borrower..]
         .iter()
-        .filter_map(|p| match p {
-            AnyProc::Borrower { p, .. } => Some(p.mean_bandwidth_gib_s()),
-            _ => None,
-        })
+        .map(|p| p.inner.mean_bandwidth_gib_s())
         .collect();
     let mean = borrower_bw.iter().sum::<f64>() / borrower_bw.len() as f64;
     let min = borrower_bw.iter().copied().fold(f64::MAX, f64::min);

@@ -18,16 +18,16 @@
 //! policies are evaluated against it.
 
 use crate::config::TestbedConfig;
-use crate::runners::GraphKernel;
+use crate::runners::{GraphKernel, Site, StreamParty};
 use crate::sweep;
 use crate::testbed::Testbed;
 use serde::{Deserialize, Serialize};
 use thymesim_fabric::DelaySpec;
 use thymesim_mem::SimVec;
 use thymesim_serve::{AdmissionPolicy, ServeConfig, ServeProcess, ServeReport};
-use thymesim_sim::{Step, Time};
+use thymesim_sim::{run_processes, Process, Step, Time};
 use thymesim_workloads::graph500::{self, Graph500Config, GraphArray, GraphPlacement};
-use thymesim_workloads::stream::{StreamArrays, StreamConfig, StreamProcess};
+use thymesim_workloads::stream::StreamConfig;
 
 /// Estimated traffic profile of one CSR array for a BFS/SSSP run.
 #[derive(Clone, Debug, Serialize)]
@@ -183,7 +183,6 @@ fn run_placed(
     .into_iter()
     .flatten()
     .sum();
-    let _ = Time::ZERO;
     (report.total_time.as_ms_f64(), local_bytes)
 }
 
@@ -263,137 +262,55 @@ impl ServeContention {
             ServeContention::Mcln => "mcln",
         }
     }
+
+    /// Where this axis places its background STREAM instances.
+    fn site(&self) -> Option<Site> {
+        match self {
+            ServeContention::None => None,
+            ServeContention::Mcbn => Some(Site::Borrower(0)),
+            ServeContention::Mcln => Some(Site::Lender(0)),
+        }
+    }
 }
 
-/// A contending STREAM instance that loops for as long as the serving
-/// window lasts: on completion it restarts at the current virtual time,
-/// so the background pressure never drains away mid-measurement.
-enum Background {
-    Borrower {
-        cfg: StreamConfig,
-        arrays: StreamArrays,
-        p: StreamProcess,
-    },
-    Lender {
-        cfg: StreamConfig,
-        arrays: StreamArrays,
-        p: StreamProcess,
-    },
-}
-
-impl Background {
+/// The serving engine as a party of the testbed world: it serves out of
+/// the borrower's disaggregated window.
+impl Process<Testbed> for ServeProcess {
     fn next_time(&self) -> Time {
-        match self {
-            Background::Borrower { p, .. } | Background::Lender { p, .. } => p.next_time(),
-        }
+        ServeProcess::next_time(self)
     }
-
-    fn step(&mut self, tb: &mut Testbed) {
-        match self {
-            Background::Borrower { cfg, arrays, p } => {
-                let at = p.next_time();
-                if p.step_on(&mut tb.borrower) == Step::Done {
-                    *p = StreamProcess::new(*cfg, *arrays, at);
-                }
-            }
-            Background::Lender { cfg, arrays, p } => {
-                let at = p.next_time();
-                if p.step_on(&mut tb.lender) == Step::Done {
-                    *p = StreamProcess::new(*cfg, *arrays, at);
-                }
-            }
-        }
+    fn step(&mut self, tb: &mut Testbed) -> Step {
+        self.step_on(&mut tb.borrower)
     }
 }
 
-/// Step the serving engine and the background instances on one virtual
-/// timeline — earliest next event first, the engine winning ties — until
-/// the engine drains its arrival stream. A custom loop instead of
-/// `run_processes` because the background must *loop*, not finish.
-fn run_open_loop(tb: &mut Testbed, mut serve: ServeProcess, bg: &mut [Background]) -> ServeReport {
-    loop {
-        let at = serve.next_time();
-        let mut who = None;
-        let mut best = at;
-        for (i, b) in bg.iter().enumerate() {
-            let t = b.next_time();
-            if t < best {
-                best = t;
-                who = Some(i);
-            }
-        }
-        match who {
-            None => {
-                if serve.step_on(&mut tb.borrower) == Step::Done {
-                    return serve.report().clone();
-                }
-            }
-            Some(i) => bg[i].step(tb),
-        }
-    }
-}
-
-fn spawn_background(
-    tb: &mut Testbed,
-    contention: ServeContention,
-    instances: usize,
-    stream: &StreamConfig,
-) -> Vec<Background> {
-    let start = tb.attach.ready_at;
-    (0..instances)
-        .map(|_| match contention {
-            ServeContention::None => unreachable!("no background for ServeContention::None"),
-            ServeContention::Mcbn => {
-                let arrays = StreamArrays::alloc(&mut tb.remote_arena, stream.elements);
-                arrays.init(&mut tb.borrower);
-                Background::Borrower {
-                    cfg: *stream,
-                    arrays,
-                    p: StreamProcess::new(*stream, arrays, start),
-                }
-            }
-            ServeContention::Mcln => {
-                let arrays = StreamArrays::alloc(&mut tb.lender_arena, stream.elements);
-                arrays.init(&mut tb.lender);
-                Background::Lender {
-                    cfg: *stream,
-                    arrays,
-                    p: StreamProcess::new(*stream, arrays, start),
-                }
-            }
-        })
-        .collect()
-}
-
-/// Build the testbed, inject the delay, and run one open-loop point.
+/// Build the testbed, inject the delay, and run one open-loop point
+/// against `background`: one looping STREAM instance per entry, tagged
+/// `bg_k` by position. The engine sits at index 0, so it wins ties with
+/// the background, and the run ends with its last step.
 fn run_serve_point(
     base: &TestbedConfig,
     serve: ServeConfig,
     period: u64,
-    contention: ServeContention,
-    instances: usize,
-    stream: &StreamConfig,
+    background: &[(Site, StreamConfig)],
 ) -> ServeReport {
     let mut tb = Testbed::build(base).expect("serve attach");
     tb.borrower
         .remote_mut()
         .set_delay(DelaySpec::Period(period));
-    let n = if contention == ServeContention::None {
-        0
-    } else {
-        instances
-    };
-    let mut bg = spawn_background(&mut tb, contention, n, stream);
+    let mut parties: Vec<StreamParty> = background
+        .iter()
+        .enumerate()
+        .map(|(k, (site, stream))| {
+            StreamParty::spawn(&mut tb, *site, stream, "bg", k as u64).looping()
+        })
+        .collect();
     let start = tb.attach.ready_at;
-    let proc = {
-        let Testbed {
-            borrower,
-            remote_arena,
-            ..
-        } = &mut tb;
-        ServeProcess::new(serve, borrower, remote_arena, start)
-    };
-    run_open_loop(&mut tb, proc, &mut bg)
+    let mut engine = ServeProcess::new(serve, &mut tb.borrower, &mut tb.remote_arena, start);
+    let mut procs: Vec<&mut dyn Process<Testbed>> = vec![&mut engine];
+    procs.extend(parties.iter_mut().map(|p| p as &mut dyn Process<Testbed>));
+    run_processes(&mut procs, &mut tb, Time::NEVER);
+    engine.report().clone()
 }
 
 /// One E17 sweep cell: the tail columns next to the mean.
@@ -522,14 +439,11 @@ pub fn serve_tail(
         }
     }
     sweep::run("serve/tail", &grid, |_ctx, pt| {
-        let r = run_serve_point(
-            &pt.cfg,
-            pt.serve,
-            pt.period,
-            pt.contention,
-            pt.instances,
-            &pt.stream,
-        );
+        let background: Vec<(Site, StreamConfig)> = pt
+            .contention
+            .site()
+            .map_or_else(Vec::new, |site| vec![(site, pt.stream); pt.instances]);
+        let r = run_serve_point(&pt.cfg, pt.serve, pt.period, &background);
         ServeTailPoint::from_report(&r, &pt.serve, pt.period, pt.contention, pt.instances)
     })
 }
@@ -557,14 +471,7 @@ pub fn admission_study(
         })
         .collect();
     sweep::run("serve/admission", &grid, |_ctx, pt| {
-        let r = run_serve_point(
-            &pt.cfg,
-            pt.serve,
-            pt.period,
-            ServeContention::None,
-            0,
-            &StreamConfig::tiny(),
-        );
+        let r = run_serve_point(&pt.cfg, pt.serve, pt.period, &[]);
         ServeTailPoint::from_report(&r, &pt.serve, pt.period, ServeContention::None, 0)
     })
 }

@@ -555,12 +555,17 @@ pub fn blame_md(sweeps: &[thymesim_telemetry::SweepBlame]) -> String {
             let _ = writeln!(s, "| victim | wait µs | cross % | blamed on |");
             let _ = writeln!(s, "|---|---|---|---|");
             for v in &r.victims {
-                let by = v
-                    .by
-                    .iter()
-                    .map(|c| format!("{} {}%", c.culprit, fmt(c.ps as f64 / v.wait_ps.max(1) as f64 * 100.0)))
-                    .collect::<Vec<_>>()
-                    .join(", ");
+                let by =
+                    v.by.iter()
+                        .map(|c| {
+                            format!(
+                                "{} {}%",
+                                c.culprit,
+                                fmt(c.ps as f64 / v.wait_ps.max(1) as f64 * 100.0)
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                        .join(", ");
                 let _ = writeln!(
                     s,
                     "| {} | {} | {} | {} |",
@@ -830,7 +835,10 @@ mod tests {
             "{md}"
         );
         assert!(md.contains("`gate` blame by victim:"), "{md}");
-        assert!(md.contains("| inst_0 | 1.000 | 75.0 | inst_1 75.0% |"), "{md}");
+        assert!(
+            md.contains("| inst_0 | 1.000 | 75.0 | inst_1 75.0% |"),
+            "{md}"
+        );
     }
 
     #[test]

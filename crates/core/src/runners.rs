@@ -8,6 +8,7 @@
 
 use crate::config::{NodeConfig, TestbedConfig};
 use crate::testbed::Testbed;
+use thymesim_fabric::FabricEngine;
 use thymesim_mem::{
     shared_dram, Addr, AddressMap, Arena, MemSystem, NoRemote, RemoteBackend, SimVec,
 };
@@ -46,16 +47,27 @@ pub fn local_system(node: &NodeConfig, size: u64) -> (MemSystem<NoRemote>, Arena
 // STREAM
 // ---------------------------------------------------------------------------
 
+/// Allocate a STREAM instance's arrays in `arena`, initialize them
+/// (untimed) and stage the instance to begin at `start`.
+pub fn spawn_stream<R: RemoteBackend>(
+    sys: &mut MemSystem<R>,
+    arena: &mut Arena,
+    cfg: &StreamConfig,
+    start: Time,
+) -> StreamProcess {
+    let arrays = StreamArrays::alloc(arena, cfg.elements);
+    arrays.init(sys);
+    StreamProcess::new(*cfg, arrays, start)
+}
+
 /// Run one STREAM instance on an existing testbed.
 pub fn run_stream(tb: &mut Testbed, cfg: &StreamConfig, placement: Placement) -> StreamReport {
     let arena = match placement {
         Placement::Remote => &mut tb.remote_arena,
         Placement::Local => &mut tb.local_arena,
     };
-    let arrays = StreamArrays::alloc(arena, cfg.elements);
-    arrays.init(&mut tb.borrower);
-    let p = StreamProcess::new(*cfg, arrays, tb.attach.ready_at);
-    p.run_to_completion(&mut tb.borrower)
+    spawn_stream(&mut tb.borrower, arena, cfg, tb.attach.ready_at)
+        .run_to_completion(&mut tb.borrower)
 }
 
 /// Build a testbed from `cfg` and run STREAM out of remote memory — the
@@ -69,9 +81,7 @@ pub fn run_stream_on_testbed(cfg: &TestbedConfig, stream: &StreamConfig) -> Stre
 pub fn stream_local_baseline(node: &NodeConfig, cfg: &StreamConfig) -> StreamReport {
     let bytes = cfg.elements * 8 * 3 + (1 << 20);
     let (mut sys, mut arena) = local_system(node, bytes.next_power_of_two());
-    let arrays = StreamArrays::alloc(&mut arena, cfg.elements);
-    arrays.init(&mut sys);
-    StreamProcess::new(*cfg, arrays, Time::ZERO).run_to_completion(&mut sys)
+    spawn_stream(&mut sys, &mut arena, cfg, Time::ZERO).run_to_completion(&mut sys)
 }
 
 // ---------------------------------------------------------------------------
@@ -317,37 +327,104 @@ impl<R: RemoteBackend> Process<MemSystem<R>> for StreamProc {
     }
 }
 
-/// A STREAM instance bound to one side of the testbed (for MCLN, where
-/// borrower and lender instances advance on one virtual timeline). The
-/// lender variant carries its instance index for blame attribution.
-pub enum NodeStream {
-    Borrower(StreamProcess),
-    Lender(StreamProcess, u64),
+/// Which node of a multi-node world a party runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Site {
+    /// Borrower `i`, working out of its disaggregated window.
+    Borrower(usize),
+    /// Lender `i`, working out of its own local memory.
+    Lender(usize),
 }
 
-impl NodeStream {
-    pub fn inner(&self) -> &StreamProcess {
-        match self {
-            NodeStream::Borrower(p) | NodeStream::Lender(p, _) => p,
-        }
+/// A world of borrower and lender nodes addressed by index: what a
+/// [`StreamParty`] needs from the shared state it is stepped against.
+pub trait Nodes {
+    fn borrower(&mut self, i: usize) -> &mut MemSystem<FabricEngine>;
+    fn lender(&mut self, i: usize) -> &mut MemSystem<NoRemote>;
+}
+
+/// A testbed is one pair: both of its nodes are index 0.
+impl Nodes for Testbed {
+    fn borrower(&mut self, i: usize) -> &mut MemSystem<FabricEngine> {
+        debug_assert_eq!(i, 0);
+        &mut self.borrower
+    }
+    fn lender(&mut self, i: usize) -> &mut MemSystem<NoRemote> {
+        debug_assert_eq!(i, 0);
+        &mut self.lender
     }
 }
 
-impl Process<Testbed> for NodeStream {
+/// The one multi-node adapter: a [`StreamProcess`] placed on a [`Site`]
+/// of any [`Nodes`] world, tagged with the blame source its queueing
+/// charges to. Worlds of several testbeds tag every party `("main", 0)`:
+/// blame ledgers are keyed by resource *name*, so per-pair tags would
+/// invent cross-blame between physically distinct links.
+pub struct StreamParty {
+    pub inner: StreamProcess,
+    site: Site,
+    source: (&'static str, u64),
+    looping: bool,
+}
+
+impl StreamParty {
+    pub fn new(inner: StreamProcess, site: Site, name: &'static str, index: u64) -> StreamParty {
+        StreamParty {
+            inner,
+            site,
+            source: (name, index),
+            looping: false,
+        }
+    }
+
+    /// Spawn the instance on `tb` — the testbed `site` indexes in its
+    /// world — in the site's memory (a borrower's disaggregated window,
+    /// a lender's local DRAM), starting when the attach completes.
+    pub fn spawn(
+        tb: &mut Testbed,
+        site: Site,
+        cfg: &StreamConfig,
+        name: &'static str,
+        index: u64,
+    ) -> StreamParty {
+        let start = tb.attach.ready_at;
+        let inner = match site {
+            Site::Borrower(_) => spawn_stream(&mut tb.borrower, &mut tb.remote_arena, cfg, start),
+            Site::Lender(_) => spawn_stream(&mut tb.lender, &mut tb.lender_arena, cfg, start),
+        };
+        StreamParty::new(inner, site, name, index)
+    }
+
+    /// Turn the instance into background load: on completion it restarts
+    /// at the time its last step began, so the pressure never drains
+    /// away while the foreground is being measured.
+    pub fn looping(mut self) -> StreamParty {
+        self.looping = true;
+        self
+    }
+}
+
+impl<W: Nodes> Process<W> for StreamParty {
     fn next_time(&self) -> Time {
-        self.inner().next_time()
+        self.inner.next_time()
     }
-    fn step(&mut self, shared: &mut Testbed) -> Step {
-        match self {
-            NodeStream::Borrower(p) => {
-                thymesim_telemetry::source_begin("borrower", 0);
-                p.step_on(&mut shared.borrower)
+    fn step(&mut self, world: &mut W) -> Step {
+        thymesim_telemetry::source_begin(self.source.0, self.source.1);
+        let restart_at = self.looping.then(|| self.inner.next_time());
+        let step = match self.site {
+            Site::Borrower(i) => self.inner.step_on(world.borrower(i)),
+            Site::Lender(i) => self.inner.step_on(world.lender(i)),
+        };
+        match restart_at {
+            Some(at) if step == Step::Done => {
+                self.inner = self.inner.restarted(at);
+                Step::Continue
             }
-            NodeStream::Lender(p, i) => {
-                thymesim_telemetry::source_begin("lender", *i);
-                p.step_on(&mut shared.lender)
-            }
+            _ => step,
         }
+    }
+    fn background(&self) -> bool {
+        self.looping
     }
 }
 
@@ -437,16 +514,13 @@ mod tests {
         let mut tb = Testbed::build(&tiny_tb()).unwrap();
         let mut scfg = StreamConfig::tiny();
         scfg.elements = 16_384;
-        let mut procs = Vec::new();
-        for i in 0..2 {
-            let arrays = StreamArrays::alloc(&mut tb.remote_arena, scfg.elements);
-            arrays.init(&mut tb.borrower);
-            procs.push(StreamProc::tagged(
-                StreamProcess::new(scfg, arrays, tb.attach.ready_at),
-                "inst",
-                i,
-            ));
-        }
+        let start = tb.attach.ready_at;
+        let mut procs: Vec<StreamProc> = (0..2)
+            .map(|i| {
+                let p = spawn_stream(&mut tb.borrower, &mut tb.remote_arena, &scfg, start);
+                StreamProc::tagged(p, "inst", i)
+            })
+            .collect();
         let stats = run_processes(&mut procs, &mut tb.borrower, Time::NEVER);
         assert_eq!(stats.finished, 2);
         // Each instance sees roughly half the solo bandwidth.

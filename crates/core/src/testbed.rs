@@ -25,6 +25,17 @@ pub struct Testbed {
     cfg: TestbedConfig,
 }
 
+/// A lender-side CPU node on `bus` with the allocator over its local
+/// memory (its own address space; remote never touched). The testbed's
+/// lender is one; so is each pre-existing local app of the placement
+/// study, several of which share one lender's bus.
+pub fn lender_node(cfg: &TestbedConfig, bus: SharedDram) -> (MemSystem<NoRemote>, Arena) {
+    let line = cfg.fabric.line_bytes;
+    let map = AddressMap::new(cfg.lender_size, line, line);
+    let node = MemSystem::new(map, cfg.lender.cache, bus, cfg.lender.timing, NoRemote);
+    (node, Arena::new(Addr(0), cfg.lender_size))
+}
+
 impl Testbed {
     /// Build the system and attach the reservation; fails exactly when
     /// the prototype does (FPGA discovery timeout under extreme delay).
@@ -60,19 +71,7 @@ impl Testbed {
             engine,
         );
 
-        // Lender node (its own address space; remote never touched).
-        let lender_map = AddressMap::new(
-            cfg.lender_size,
-            cfg.fabric.line_bytes,
-            cfg.fabric.line_bytes,
-        );
-        let lender = MemSystem::new(
-            lender_map,
-            cfg.lender.cache,
-            lender_bus,
-            cfg.lender.timing,
-            NoRemote,
-        );
+        let (lender, lender_arena) = lender_node(cfg, lender_bus);
 
         // Control plane: reserve at the lender, hot-plug at the borrower.
         let mut control = ControlPlane::new(cfg.control, cfg.lender_size);
@@ -83,7 +82,6 @@ impl Testbed {
 
         let remote_arena = Arena::new(map.remote_base_addr(), cfg.remote_size);
         let local_arena = Arena::new(Addr(0), cfg.local_size);
-        let lender_arena = Arena::new(Addr(0), cfg.lender_size);
         Ok(Testbed {
             borrower,
             lender,

@@ -4,17 +4,20 @@
 //! *timeline* technique: each resource advances a `next_free` clock as
 //! calls arrive in program order. That is fast but subtle — out-of-order
 //! arrivals, credit recycling, and grant alignment all interact. This
-//! module re-implements the same path on the `thymesim-sim` actor engine,
+//! module re-implements the same path on the actor engine in [`actor`],
 //! where a future-event list forces strictly time-ordered processing, and
 //! the test suite proves the two implementations produce **identical**
 //! completion times for arbitrary traffic. Two independent derivations,
 //! one answer.
 
+mod actor;
+
 use crate::engine::FabricConfig;
 use crate::packet::HEADER_BYTES;
+use actor::{Actor, ActorId, Ctx, Engine, Event};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use thymesim_sim::{Actor, ActorId, Ctx, Dur, Engine, Event, Time};
+use thymesim_sim::{Dur, Time};
 
 /// Event kinds inside the reference pipeline.
 const EV_ISSUE: u32 = 0;

@@ -7,15 +7,14 @@
 //! rides inside the actors themselves, keeping events `Copy` and the queue
 //! allocation-free on the hot path.
 //!
-//! This engine is **not** the production scheduler. Production timing
-//! runs on `thymesim_fabric::FabricEngine`'s `next_free` timelines and
-//! the [`crate::process`] executor; the actor engine is the substrate
+//! This engine is **not** the production scheduler, and no production
+//! build links it. Production timing runs on
+//! [`crate::engine::FabricEngine`]'s `next_free` timelines and the
+//! `thymesim_sim::process` executor; the actor engine is the substrate
 //! of the test oracle that re-derives the remote-read path event by
-//! event (`thymesim-fabric`'s `#[cfg(test)] mod reference`) and proves
-//! the timeline engine against it.
+//! event ([`super`]) and proves the timeline engine against it.
 
-use crate::queue::EventQueue;
-use crate::time::Time;
+use thymesim_sim::{Dur, EventQueue, Time};
 
 /// Identifies an actor registered with an [`Engine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,7 +59,7 @@ impl Ctx<'_> {
     /// `u64::MAX` in a release build would otherwise land the event in
     /// the far past.
     #[inline]
-    pub fn schedule_in(&mut self, delay: crate::time::Dur, ev: Event) {
+    pub fn schedule_in(&mut self, delay: Dur, ev: Event) {
         let at = self.now + delay;
         assert!(at >= self.now, "scheduling into the past");
         self.queue.push(at, ev);
@@ -162,17 +161,11 @@ impl Engine {
     pub fn run(&mut self) -> u64 {
         self.run_until(Time::NEVER)
     }
-
-    /// Mutable access to a registered actor (for inspection between phases).
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut dyn Actor {
-        self.actors[id.0 as usize].as_mut()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Dur;
 
     /// Ping-pong pair: sends the payload back and forth, decrementing it.
     struct Ponger {

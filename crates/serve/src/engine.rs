@@ -194,7 +194,7 @@ impl ServeReport {
 }
 
 /// The open-loop engine as a steppable process (compose with contending
-/// processes via `run_processes` or a custom executor).
+/// processes via `run_processes`).
 pub struct ServeProcess {
     cfg: ServeConfig,
     store: KvStore,

@@ -4,7 +4,6 @@
 //!
 //! * [`time`] — integer-picosecond virtual time and clock domains;
 //! * [`queue`] — deterministic future-event list with FIFO tie-breaking;
-//! * [`engine`] — actor-based event dispatch for message-driven components;
 //! * [`process`] — virtual-time interleaving of workload instances;
 //! * [`rng`] — self-contained deterministic generators (SplitMix64,
 //!   xoshiro256**) so results are stable across platforms and crate
@@ -16,7 +15,6 @@
 //! no component reads wall-clock time, so every experiment is exactly
 //! reproducible from its seed and configuration.
 
-pub mod engine;
 pub mod pool;
 pub mod process;
 pub mod queue;
@@ -24,7 +22,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Actor, ActorId, Ctx, Engine, Event};
 pub use pool::{default_jobs, ordered_map};
 pub use process::{run as run_processes, Process, RunStats, Step};
 pub use queue::EventQueue;

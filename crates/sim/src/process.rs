@@ -29,6 +29,28 @@ pub trait Process<S: ?Sized> {
 
     /// Perform one transaction against the shared state.
     fn step(&mut self, shared: &mut S) -> Step;
+
+    /// A background process supplies load for as long as the others run
+    /// (it typically restarts itself instead of finishing): [`run`]
+    /// returns once every non-background process is done or blocked,
+    /// stepping no background process after that.
+    fn background(&self) -> bool {
+        false
+    }
+}
+
+/// A borrowed process is a process, so one slice can mix concrete types
+/// (`&mut dyn Process<S>`) while the caller keeps ownership of each.
+impl<S: ?Sized, P: Process<S> + ?Sized> Process<S> for &mut P {
+    fn next_time(&self) -> Time {
+        (**self).next_time()
+    }
+    fn step(&mut self, shared: &mut S) -> Step {
+        (**self).step(shared)
+    }
+    fn background(&self) -> bool {
+        (**self).background()
+    }
 }
 
 /// Statistics from an executor run.
@@ -41,8 +63,9 @@ pub struct RunStats {
     pub finished: usize,
 }
 
-/// Run processes in global virtual-time order until all are done or every
-/// remaining next-time exceeds `deadline`.
+/// Run processes in global virtual-time order until every non-background
+/// process is done (or blocked forever) or the earliest next-time exceeds
+/// `deadline`.
 ///
 /// The min-scan is linear in the number of processes; experiments use at
 /// most a few hundred, and each step does far more work than the scan.
@@ -54,8 +77,15 @@ pub fn run<S: ?Sized, P: Process<S>>(procs: &mut [P], shared: &mut S, deadline: 
     // Done processes park at NEVER, which also encodes "blocked forever";
     // both are unrunnable, and only Done increments `finished`.
     let mut next: Vec<Time> = procs.iter().map(|p| p.next_time()).collect();
+    // Runnable foreground processes; the run ends with the last of them,
+    // however much work the background ones still have.
+    let mut foreground = procs
+        .iter()
+        .zip(&next)
+        .filter(|(p, &t)| !p.background() && t != Time::NEVER)
+        .count();
     let mut stats = RunStats::default();
-    loop {
+    while foreground > 0 {
         let mut best: Option<(usize, Time)> = None;
         for (i, &t) in next.iter().enumerate() {
             match best {
@@ -64,7 +94,7 @@ pub fn run<S: ?Sized, P: Process<S>>(procs: &mut [P], shared: &mut S, deadline: 
             }
         }
         let Some((i, t)) = best else { break };
-        if t > deadline || t == Time::NEVER {
+        if t > deadline {
             break;
         }
         stats.steps += 1;
@@ -74,6 +104,9 @@ pub fn run<S: ?Sized, P: Process<S>>(procs: &mut [P], shared: &mut S, deadline: 
             stats.finished += 1;
         } else {
             next[i] = procs[i].next_time();
+        }
+        if next[i] == Time::NEVER && !procs[i].background() {
+            foreground -= 1;
         }
     }
     stats
@@ -130,8 +163,14 @@ mod tests {
         ];
         let mut log = Vec::new();
         let stats = run(&mut procs, &mut log, Time::NEVER);
-        assert_eq!(stats.steps, 10);
-        assert_eq!(stats.finished, 2);
+        assert_eq!(
+            stats,
+            RunStats {
+                steps: 10,
+                end: Time::ns(40),
+                finished: 2,
+            }
+        );
         assert!(
             log.windows(2).all(|w| w[0].1 <= w[1].1),
             "log not time-ordered: {log:?}"
@@ -173,6 +212,84 @@ mod tests {
         assert_eq!(stats.steps, 6);
         assert_eq!(stats.finished, 0);
         assert_eq!(stats.end, Time::ns(50));
+    }
+
+    /// Never-ending load: a ticker that refills itself every step.
+    struct Background(Ticker);
+
+    impl Process<Vec<(u32, Time)>> for Background {
+        fn next_time(&self) -> Time {
+            self.0.next_time()
+        }
+        fn step(&mut self, shared: &mut Vec<(u32, Time)>) -> Step {
+            self.0.remaining += 1;
+            self.0.step(shared)
+        }
+        fn background(&self) -> bool {
+            true
+        }
+    }
+
+    fn background(id: u32, period: u64) -> Background {
+        Background(Ticker {
+            id,
+            at: Time::ns(0),
+            period: Dur::ns(period),
+            remaining: 1,
+        })
+    }
+
+    #[test]
+    fn run_ends_with_the_last_foreground_process() {
+        let mut fg = Ticker {
+            id: 0,
+            at: Time::ns(0),
+            period: Dur::ns(10),
+            remaining: 3,
+        };
+        let (mut bg1, mut bg2) = (background(1, 4), background(2, 4));
+        let mut procs: Vec<&mut dyn Process<Vec<(u32, Time)>>> = vec![&mut fg, &mut bg1, &mut bg2];
+        let mut log = Vec::new();
+        let stats = run(&mut procs, &mut log, Time::NEVER);
+        // Same-instant ties go to the lowest index (foreground first,
+        // background in slice order); the foreground's `Done` at 20 ns
+        // is the last step — the background ticks due then never run.
+        let at = |id, ns| (id, Time::ns(ns));
+        assert_eq!(
+            log,
+            vec![
+                at(0, 0),
+                at(1, 0),
+                at(2, 0),
+                at(1, 4),
+                at(2, 4),
+                at(1, 8),
+                at(2, 8),
+                at(0, 10),
+                at(1, 12),
+                at(2, 12),
+                at(1, 16),
+                at(2, 16),
+                at(0, 20),
+            ]
+        );
+        assert_eq!(
+            stats,
+            RunStats {
+                steps: 13,
+                end: Time::ns(20),
+                finished: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn background_alone_never_runs() {
+        let mut procs = vec![background(0, 4), background(1, 4)];
+        let mut log = Vec::new();
+        let stats = run(&mut procs, &mut log, Time::NEVER);
+        assert_eq!(stats, RunStats::default());
+        assert!(log.is_empty());
     }
 
     #[test]

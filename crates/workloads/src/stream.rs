@@ -211,6 +211,12 @@ impl StreamProcess {
         }
     }
 
+    /// A fresh instance over the same arrays and configuration,
+    /// beginning at `start` (a looping background load's next lap).
+    pub fn restarted(&self, start: Time) -> StreamProcess {
+        StreamProcess::new(self.cfg, self.arrays, start)
+    }
+
     pub fn is_done(&self) -> bool {
         self.done
     }

@@ -722,7 +722,10 @@ fn blame_mcbn_cross_is_symmetric_and_absent_solo() {
     let n = 4u64;
     let contended = SweepBlame::fold("blame/mcbn", 1, &[run_point(1, n)]);
     let cross_total: u64 = contended.merged.iter().map(|r| r.cross_ps).sum();
-    assert!(cross_total > 0, "4 peers must inflict cross-blame somewhere");
+    assert!(
+        cross_total > 0,
+        "4 peers must inflict cross-blame somewhere"
+    );
     // On the most-contended resource, every instance is both victim and
     // culprit, and the per-instance cross totals are symmetric to
     // within a small factor (no instance is structurally privileged).
@@ -746,10 +749,7 @@ fn blame_mcbn_cross_is_symmetric_and_absent_solo() {
             v.cross_ps
         })
         .collect();
-    let (lo, hi) = (
-        *cross.iter().min().unwrap(),
-        *cross.iter().max().unwrap(),
-    );
+    let (lo, hi) = (*cross.iter().min().unwrap(), *cross.iter().max().unwrap());
     assert!(lo > 0, "every instance suffers cross-blame: {cross:?}");
     assert!(
         hi < lo * 5,
@@ -764,9 +764,8 @@ fn blame_mcbn_cross_is_symmetric_and_absent_solo() {
 /// instances the borrower's dram blame is all-self.
 #[test]
 fn blame_mcln_pins_lender_traffic_on_the_dram_bus() {
-    use thymesim::core::runners::NodeStream;
+    use thymesim::core::runners::{Site, StreamParty};
     use thymesim::sim::{run_processes, Time};
-    use thymesim::workloads::stream::{StreamArrays, StreamProcess};
     use thymesim_telemetry::{SweepBlame, TraceRecorder};
 
     let cfg = TestbedConfig::tiny();
@@ -774,19 +773,19 @@ fn blame_mcln_pins_lender_traffic_on_the_dram_bus() {
     let run_point = |i: usize, lenders: u64| {
         thymesim_telemetry::install(TraceRecorder::new(i, 0));
         let mut tb = Testbed::build(&cfg).unwrap();
-        let mut procs: Vec<NodeStream> = Vec::new();
-        let arrays = StreamArrays::alloc(&mut tb.remote_arena, scfg.elements);
-        arrays.init(&mut tb.borrower);
-        procs.push(NodeStream::Borrower(StreamProcess::new(
-            scfg,
-            arrays,
-            tb.attach.ready_at,
-        )));
+        let mut procs = vec![StreamParty::spawn(
+            &mut tb,
+            Site::Borrower(0),
+            &scfg,
+            "borrower",
+            0,
+        )];
         for k in 0..lenders {
-            let arrays = StreamArrays::alloc(&mut tb.lender_arena, scfg.elements);
-            arrays.init(&mut tb.lender);
-            procs.push(NodeStream::Lender(
-                StreamProcess::new(scfg, arrays, tb.attach.ready_at),
+            procs.push(StreamParty::spawn(
+                &mut tb,
+                Site::Lender(0),
+                &scfg,
+                "lender",
                 k,
             ));
         }
@@ -830,6 +829,142 @@ fn blame_mcln_pins_lender_traffic_on_the_dram_bus() {
     );
 }
 
+/// E20 (serving under contention): the looping background STREAM load
+/// is its own blame source. Its queueing lands on `bg_k` victims — not
+/// on whichever shard the engine served last — so the serving shards'
+/// blamed waits stay near their uncontended level, and the interference
+/// reads as inflicted by the background, not by the shards on
+/// themselves.
+#[test]
+fn blame_serve_tail_charges_background_load_to_bg_sources() {
+    use thymesim_telemetry::blame::ResourceBlame;
+    use thymesim_telemetry::{SweepBlame, TraceRecorder};
+
+    let serve = ServeConfig {
+        arrivals: 300,
+        ..ServeConfig::tiny()
+    };
+    let kinds = [
+        (ServeContention::None, 0),
+        (ServeContention::Mcbn, 2),
+        (ServeContention::Mcln, 2),
+    ];
+    // One single-point sweep per kind: a one-point grid runs on the
+    // calling thread, so the thread-local recorder sees exactly it.
+    let traces: Vec<_> = kinds
+        .iter()
+        .enumerate()
+        .map(|(i, &kind)| {
+            thymesim_telemetry::install(TraceRecorder::new(i, 0));
+            serve_tail(
+                &TestbedConfig::tiny(),
+                &serve,
+                &stream_cfg(),
+                &[100],
+                &[kind],
+                &[60_000.0],
+            );
+            thymesim_telemetry::take().expect("recorder installed")
+        })
+        .collect();
+    let folded = SweepBlame::fold("serve/tail", kinds.len(), &traces);
+    let resource = |point: usize, name: &str| -> &ResourceBlame {
+        folded.per_point[point]
+            .resources
+            .iter()
+            .find(|r| r.resource == name)
+            .unwrap_or_else(|| panic!("point {point} decomposed no {name} waits"))
+    };
+    let shard_waits = |r: &ResourceBlame, k: usize| {
+        r.victim(&format!("shard_{k}"))
+            .unwrap_or_else(|| panic!("shard_{k} missing on {}", r.resource))
+            .waits
+    };
+
+    // (a) Control: nothing but the engine ran, so no `bg_*` label.
+    for r in &folded.per_point[0].resources {
+        assert!(
+            r.victims.iter().all(|v| !v.victim.starts_with("bg_")),
+            "control point names a background source on {}",
+            r.resource
+        );
+    }
+
+    // (b) Contended points: both background instances are victims in
+    // their own right, and no shard's wait count balloons with traffic
+    // that is not its own (measured: <= 1.7x the control; untagged
+    // background would fold ~1600 / ~76 000 waits into every shard).
+    for (point, hot) in [(1, "gate"), (2, "dram")] {
+        let (control, contended) = (resource(0, hot), resource(point, hot));
+        for k in 0..2 {
+            let bg = contended.victim(&format!("bg_{k}"));
+            assert!(
+                bg.is_some_and(|v| v.waits > 0),
+                "bg_{k} must be a {hot} victim at point {point}"
+            );
+        }
+        for k in 0..serve.shards as usize {
+            let (before, after) = (shard_waits(control, k), shard_waits(contended, k));
+            assert!(
+                after <= before * 4,
+                "shard_{k} carries foreign {hot} waits at point {point}: {after} vs {before}"
+            );
+        }
+    }
+
+    // (c) The interference is inflicted by the background: at the MCBN
+    // point the two instances blame each other on the gate (measured
+    // cross share 0.0033; folded into a shared borrowed tag it reads
+    // as self), and at the MCLN point a background instance — not a
+    // shard — is the lender bus's top interferer.
+    let gate = resource(1, "gate");
+    assert!(
+        gate.cross_share() > 0.001,
+        "MCBN gate cross share {} too small for peer blame",
+        gate.cross_share()
+    );
+    for (victim, culprit) in [("bg_0", "bg_1"), ("bg_1", "bg_0")] {
+        let row = gate.victim(victim).expect("checked above");
+        assert!(
+            row.by.iter().any(|c| c.culprit == culprit && c.ps > 0),
+            "{victim} must be blamed by its peer {culprit} on the gate: {:?}",
+            row.by
+        );
+    }
+    let top = resource(2, "dram")
+        .top_interferer
+        .as_ref()
+        .expect("lender-side load must inflict cross-blame on the bus");
+    assert!(
+        top.culprit.starts_with("bg_"),
+        "top dram interferer must be a background instance, got {}",
+        top.culprit
+    );
+
+    // (d) The integer partition holds at victim, resource, point and
+    // merged level.
+    let points = folded.per_point.iter().map(|p| &p.resources);
+    for r in points.chain([&folded.merged]).flatten() {
+        assert_eq!(r.self_ps + r.cross_ps, r.wait_ps, "{} resource", r.resource);
+        let by_victim = |f: fn(&thymesim_telemetry::blame::VictimBlame) -> u64| {
+            r.victims.iter().map(f).sum::<u64>()
+        };
+        assert_eq!(by_victim(|v| v.wait_ps), r.wait_ps, "{} rows", r.resource);
+        assert_eq!(by_victim(|v| v.cross_ps), r.cross_ps, "{} rows", r.resource);
+        for v in &r.victims {
+            let charged: u64 = v.by.iter().map(|c| c.ps).sum();
+            assert_eq!(charged, v.cross_ps, "{} / {}", r.resource, v.victim);
+            assert_eq!(
+                v.self_ps + charged,
+                v.wait_ps,
+                "{} / {}",
+                r.resource,
+                v.victim
+            );
+        }
+    }
+}
+
 /// E20 (serving side): admission priority shifts queueing blame off the
 /// premium shards. Under `Open` at overload the premium lane's blamed
 /// wait blows up with everyone else's; under `Priority` the bounded
@@ -844,9 +979,7 @@ fn blame_serve_priority_shifts_wait_off_premium_shards() {
         let mut tb = Testbed::build(&TestbedConfig::tiny()).unwrap();
         // PERIOD=400 slows remote service enough that the open-loop
         // queue runs away — the same overload knob E17 uses.
-        tb.borrower
-            .remote_mut()
-            .set_delay(DelaySpec::Period(400));
+        tb.borrower.remote_mut().set_delay(DelaySpec::Period(400));
         let serve = ServeConfig {
             arrivals: 1500,
             policy,

@@ -80,8 +80,9 @@ fn cached_rerun_is_identical_and_simulates_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn serve_tail_jobs_1_and_jobs_8_are_byte_identical() {
+/// `serve_tail` over `contention` at `--jobs 1` and `--jobs parallel`,
+/// rendered to JSON.
+fn serve_tail_json(contention: &[(ServeContention, usize)], parallel: usize) -> (String, String) {
     let _guard = options_lock();
     let base = TestbedConfig::tiny();
     let serve = ServeConfig {
@@ -99,16 +100,34 @@ fn serve_tail_jobs_1_and_jobs_8_are_byte_identical() {
             &serve,
             &stream_cfg(),
             &[1, 100],
-            &[(ServeContention::None, 0), (ServeContention::Mcbn, 1)],
+            contention,
             &[20_000.0],
         );
         report::to_json(&points)
     };
-    let serial = run_at(1);
-    let parallel = run_at(8);
+    let out = (run_at(1), run_at(parallel));
     sweep::configure(SweepOptions::default());
+    out
+}
+
+#[test]
+fn serve_tail_jobs_1_and_jobs_8_are_byte_identical() {
+    let (serial, parallel) =
+        serve_tail_json(&[(ServeContention::None, 0), (ServeContention::Mcbn, 1)], 8);
     assert_eq!(
         serial, parallel,
         "serve_tail must render byte-identical JSON at any --jobs"
+    );
+}
+
+/// The lender-side axis: looping background parties on the lender node
+/// interleave with the engine on the process executor.
+#[test]
+fn serve_tail_mcln_jobs_1_and_jobs_4_are_byte_identical() {
+    let (serial, parallel) =
+        serve_tail_json(&[(ServeContention::None, 0), (ServeContention::Mcln, 2)], 4);
+    assert_eq!(
+        serial, parallel,
+        "serve_tail with lender-side background must not depend on --jobs"
     );
 }
