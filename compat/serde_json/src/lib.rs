@@ -7,20 +7,34 @@ pub use serde::Error;
 pub use serde::Value;
 
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Serialize to compact JSON (no whitespace).
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    Ok(value_to_string(&value.to_value()))
 }
 
 /// Serialize to pretty JSON: two-space indent, `": "` separators —
 /// the same layout as crates.io `serde_json::to_string_pretty`.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(value_to_string_pretty(&value.to_value()))
+}
+
+/// [`to_string`] for a caller that already holds a [`Value`] tree: the
+/// tree is written as it stands. (`to_string(&value)` gives the same
+/// text, but `Serialize for Value` deep-clones the tree first.)
+pub fn value_to_string(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some("  "), 0);
-    Ok(out)
+    write_value(&mut out, value, None, 0);
+    out
+}
+
+/// [`to_string_pretty`] over a borrowed [`Value`] tree; see
+/// [`value_to_string`].
+pub fn value_to_string_pretty(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, Some("  "), 0);
+    out
 }
 
 /// Convert any serializable value into the generic [`Value`] model.
@@ -46,18 +60,11 @@ fn write_value(out: &mut String, v: &Value, indent: Option<&str>, depth: usize) 
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(x) => {
-            if x.is_finite() {
-                // `{:?}` is the shortest representation that round-trips,
-                // and always keeps a decimal point (`1.0`, not `1`).
-                out.push_str(&format!("{x:?}"));
-            } else {
-                // Mirror serde_json's lossy default for non-finite floats.
-                out.push_str("null");
-            }
-        }
+        // Numbers format straight into `out`: writing to a `String`
+        // cannot fail.
+        Value::U64(n) => write!(out, "{n}").expect("write to String"),
+        Value::I64(n) => write!(out, "{n}").expect("write to String"),
+        Value::F64(x) => write_f64(out, *x),
         Value::Str(s) => write_str(out, s),
         Value::Array(items) => {
             if items.is_empty() {
@@ -108,8 +115,31 @@ fn newline_indent(out: &mut String, indent: Option<&str>, depth: usize) {
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Append `x` exactly as the encoder prints a [`Value::F64`]. Public so
+/// that a writer streaming JSON without a [`Value`] tree (the Chrome
+/// trace) stays byte-identical to [`to_string`].
+pub fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        // `{:?}` is the shortest representation that round-trips,
+        // and always keeps a decimal point (`1.0`, not `1`).
+        write!(out, "{x:?}").expect("write to String");
+    } else {
+        // Mirror serde_json's lossy default for non-finite floats.
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string, exactly as the encoder
+/// prints a [`Value::Str`] or an object key; public for the same reason
+/// as [`write_f64`].
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    // Most strings (keys, labels) need no escape and go out whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -117,7 +147,9 @@ fn write_str(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("write to String");
+            }
             c => out.push(c),
         }
     }
@@ -390,6 +422,111 @@ mod tests {
         assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
         assert_eq!(to_string(&0.1f64).unwrap(), "0.1");
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+    }
+
+    /// The encoder as it was before numbers were formatted in place
+    /// (a `String` per number and per control character): the oracle
+    /// for [`borrowing_encoder_matches_the_old_one`].
+    fn old_write_value(out: &mut String, v: &Value, indent: Option<&str>, depth: usize) {
+        fn old_write_str(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::U64(n) => out.push_str(&n.to_string()),
+            Value::I64(n) => out.push_str(&n.to_string()),
+            Value::F64(x) if x.is_finite() => out.push_str(&format!("{x:?}")),
+            Value::F64(_) => out.push_str("null"),
+            Value::Str(s) => old_write_str(out, s),
+            Value::Array(items) if items.is_empty() => out.push_str("[]"),
+            Value::Object(fields) if fields.is_empty() => out.push_str("{}"),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    old_write_value(out, item, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push(']');
+            }
+            Value::Object(fields) => {
+                out.push('{');
+                for (i, (k, val)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    old_write_str(out, k);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    old_write_value(out, val, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push('}');
+            }
+        }
+    }
+
+    #[test]
+    fn borrowing_encoder_matches_the_old_one() {
+        let v = Value::Object(vec![
+            (
+                "quote\"d \\ key\n".into(),
+                Value::Str("tab\there \u{1} \u{1f} é".into()),
+            ),
+            ("max".into(), Value::U64(u64::MAX)),
+            ("min".into(), Value::I64(i64::MIN)),
+            (
+                "floats".into(),
+                Value::Array(vec![
+                    Value::F64(-0.0),
+                    Value::F64(1e300),
+                    Value::F64(5e-324),
+                    Value::F64(0.1 + 0.2),
+                    Value::F64(f64::NAN),
+                    Value::F64(f64::NEG_INFINITY),
+                ]),
+            ),
+            (
+                "nested".into(),
+                Value::Array(vec![
+                    Value::Object(vec![]),
+                    Value::Array(vec![]),
+                    Value::Object(vec![("deep".into(), Value::Array(vec![Value::Null]))]),
+                    Value::Bool(false),
+                ]),
+            ),
+        ]);
+        for indent in [None, Some("  ")] {
+            let mut old = String::new();
+            old_write_value(&mut old, &v, indent, 0);
+            let (borrowed, cloned) = match indent {
+                None => (value_to_string(&v), to_string(&v).unwrap()),
+                Some(_) => (value_to_string_pretty(&v), to_string_pretty(&v).unwrap()),
+            };
+            assert_eq!(borrowed, old);
+            assert_eq!(cloned, old);
+        }
+        assert!(value_to_string(&v)
+            .contains(r#""floats":[-0.0,1e300,5e-324,0.30000000000000004,null,null]"#));
     }
 
     /// Test-only adapter so raw `Value`s can go through the public API.

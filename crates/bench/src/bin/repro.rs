@@ -164,6 +164,7 @@ fn main() {
         if let Some(path) = bench_json_path(&args) {
             write_bench_json(&path, cmd, &profile, wall);
         }
+        note_dropped_events();
         for (name, write) in ARTIFACTS {
             write_artifact(name, write());
         }
@@ -228,6 +229,24 @@ fn print_list() {
         skipped.join(", ")
     );
     println!("{:<12}this table", "list");
+}
+
+/// Say which traced sweeps overflowed the per-point event cap: their
+/// `*.trace.json` timelines stop early, and otherwise only a `dropped`
+/// field inside `telemetry.json` shows it.
+fn note_dropped_events() {
+    let Some(cfg) = thymesim_telemetry::config() else {
+        return;
+    };
+    for s in thymesim_telemetry::summaries() {
+        if s.dropped > 0 {
+            eprintln!(
+                "# note: {}: kept {}, dropped {} timeline events (cap {} per point; \
+                 histograms, counters and blame are uncapped)",
+                s.sweep, s.events, s.dropped, cfg.max_events_per_point
+            );
+        }
+    }
 }
 
 /// Writes one merged telemetry artifact: the path, or `None` when
@@ -320,7 +339,7 @@ fn run_baseline(mode: BaselineMode, cmd: &str, profile: &Profile) {
                     std::process::exit(1);
                 }
             }
-            let text = serde_json::to_string_pretty(&b).expect("baseline serializes");
+            let text = serde_json::value_to_string_pretty(&serde::Serialize::to_value(&b));
             if let Err(e) = std::fs::write(&path, text + "\n") {
                 eprintln!("# baseline: cannot write {}: {e}", path.display());
                 std::process::exit(1);

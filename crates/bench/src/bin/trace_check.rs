@@ -30,17 +30,24 @@
 //!   (`self + Σ cross == wait` at every level), cross-share consistency
 //!   and top-interferer argmax agreement.
 //!
+//! * `telemetry.json` — merged stage histograms and totals: schema
+//!   version, integer totals per sweep, name-sorted stages with ordered
+//!   quantiles and name-sorted counters. Its summary line carries how
+//!   many timeline events each sweep kept and how many it dropped at
+//!   the per-point cap — the one place a truncated `*.trace.json`
+//!   shows (`repro` prints the same counts as `# note:` lines).
+//!
 //! ```text
 //! cargo run --release -p thymesim-bench --bin trace_check -- \
-//!     traces/*.trace.json traces/*.collapsed traces/attribution.json \
-//!     traces/utilization.json traces/blame.json
+//!     traces/*.trace.json traces/*.collapsed traces/telemetry.json \
+//!     traces/attribution.json traces/utilization.json traces/blame.json
 //! ```
 //!
 //! Every failure in a file is reported, not just the first, and the
 //! checker keeps going across files. Exit status: 0 when every file
 //! validates, 1 otherwise.
 
-use thymesim_telemetry::{attribution, blame, chrome, counters};
+use thymesim_telemetry::{attribution, blame, chrome, counters, summary};
 
 /// One artifact family's checker: the `ok (...)` summary, or every
 /// failure found.
@@ -48,7 +55,7 @@ type Checker = fn(&str) -> Result<String, Vec<String>>;
 
 /// File-name suffix → checker, first match wins; the empty suffix makes
 /// everything else a Chrome-trace timeline.
-const CHECKERS: [(&str, Checker); 5] = [
+const CHECKERS: [(&str, Checker); 6] = [
     (".collapsed", |text| {
         let stats = attribution::check_collapsed(text).map_err(|e| vec![e])?;
         Ok(format!(
@@ -77,6 +84,22 @@ const CHECKERS: [(&str, Checker); 5] = [
             stats.sweeps, stats.points, stats.counters
         ))
     }),
+    ("telemetry.json", |text| {
+        let stats = summary::check_summary(text)?;
+        let capped: Vec<String> = stats
+            .capped
+            .iter()
+            .map(|(sweep, dropped)| format!("{sweep} {dropped}"))
+            .collect();
+        Ok(format!(
+            "ok ({} sweeps, {} timeline events kept, {} dropped at the per-point cap{}{})",
+            stats.sweeps,
+            stats.events,
+            stats.dropped,
+            if capped.is_empty() { "" } else { ": " },
+            capped.join(", ")
+        ))
+    }),
     ("", |text| {
         let stats = chrome::check_all(text)?;
         Ok(format!(
@@ -92,7 +115,7 @@ fn main() {
     if files.is_empty() {
         eprintln!(
             "usage: trace_check \
-             <trace.json|*.collapsed|attribution.json|utilization.json|blame.json>..."
+             <trace.json|*.collapsed|telemetry.json|attribution.json|utilization.json|blame.json>..."
         );
         std::process::exit(2);
     }

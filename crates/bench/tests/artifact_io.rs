@@ -103,11 +103,12 @@ fn traced_run_on_a_warm_cache_covers_every_point() {
         untraced_rerun.contains("(0 points simulated)"),
         "the cache must be warm before the traced run: {untraced_rerun}"
     );
-    validate(&[
+    let traced_run = validate(&[
         "--trace".as_ref(),
         "--trace-out".as_ref(),
         traces.as_os_str(),
     ]);
+    assert_overflow_is_reported(&traced_run, &traces.join("telemetry.json"));
     for name in ["attribution.json", "utilization.json", "blame.json"] {
         let text = std::fs::read_to_string(traces.join(name))
             .unwrap_or_else(|e| panic!("{name} must exist after a warm-cache traced run: {e}"));
@@ -126,6 +127,37 @@ fn traced_run_on_a_warm_cache_covers_every_point() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every sweep whose timeline overflowed the per-point event cap is
+/// named, with the counts `telemetry.json` holds, by a `# note:` line
+/// of the run and by `trace_check`'s summary of that file.
+fn assert_overflow_is_reported(stderr: &str, telemetry_json: &Path) {
+    let text = std::fs::read_to_string(telemetry_json).expect("telemetry.json exists");
+    let root: Value = serde_json::from_str(&text).expect("telemetry.json is JSON");
+    let check = std::process::Command::new(env!("CARGO_BIN_EXE_trace_check"))
+        .arg(telemetry_json)
+        .output()
+        .expect("trace_check runs");
+    let summary = String::from_utf8_lossy(&check.stdout);
+    assert!(check.status.success(), "telemetry.json must validate");
+    let mut capped = 0;
+    for sweep in root.get("sweeps").and_then(Value::as_array).unwrap() {
+        let name = sweep.get("sweep").and_then(Value::as_str).unwrap();
+        let count = |field: &str| sweep.get(field).and_then(Value::as_u64).unwrap();
+        let (kept, dropped) = (count("events"), count("dropped"));
+        let note = format!(
+            "# note: {name}: kept {kept}, dropped {dropped} timeline events (cap 20000 per point;"
+        );
+        assert_eq!(stderr.contains(&note), dropped > 0, "{name}: {stderr}");
+        assert_eq!(
+            summary.contains(&format!("{name} {dropped}")),
+            dropped > 0,
+            "{name}: {summary}"
+        );
+        capped += usize::from(dropped > 0);
+    }
+    assert!(capped > 0, "quick validate overflows the cap: {text}");
 }
 
 /// One recorded point with a read anatomy, a busy counter and a

@@ -284,7 +284,7 @@ fn store_cached<R: Serialize>(dir: &Path, name: &str, key: u64, config: &str, re
         ("config".to_string(), serde::Value::Str(config.to_string())),
         ("result".to_string(), result.to_value()),
     ]);
-    let text = serde_json::to_string_pretty(&entry).expect("cache entry serializes");
+    let text = serde_json::value_to_string_pretty(&entry);
     let path = cache_path(dir, name, key);
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     // Cache writes are best-effort: failure to persist must never fail

@@ -16,6 +16,7 @@
 use crate::counters::CounterTrack;
 use crate::recorder::{PointTrace, TraceEvent};
 use serde::Value;
+use std::fmt::Write as _;
 
 /// Prefix on windowed utilization counter-track names in the exported
 /// trace, distinguishing them from ad-hoc sampled counters so the
@@ -30,17 +31,9 @@ pub const UTIL_PREFIX: &str = "util.";
 /// windowed-sample rules to them.
 pub const BLAME_PREFIX: &str = "blame.";
 
-fn us(ps: u64) -> Value {
-    Value::F64(ps as f64 / 1e6)
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// Append `ps` as the microsecond timestamp the format wants.
+fn write_us(out: &mut String, ps: u64) {
+    serde_json::write_f64(out, ps as f64 / 1e6);
 }
 
 /// One entry of the render timeline: either a recorded event or a
@@ -49,87 +42,92 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 /// value forever).
 enum Entry<'a> {
     Rec(&'a TraceEvent),
-    Util {
-        name: &'static str,
-        at_ps: u64,
-        value: f64,
-        kind: &'static str,
-        bound: Option<u64>,
-    },
+    Util { track: &'a CounterTrack, value: f64 },
 }
 
-impl Entry<'_> {
-    fn ts_ps(&self) -> u64 {
-        match self {
-            Entry::Rec(ev) => ev.ts_ps(),
-            Entry::Util { at_ps, .. } => *at_ps,
-        }
-    }
+/// A timeline entry with what orders and places it.
+struct Timed<'a> {
+    ts_ps: u64,
+    pid: usize,
+    tid: usize,
+    entry: Entry<'a>,
 }
 
 /// Render one sweep's point traces as a Chrome-trace JSON string.
 /// `window_ps` is the counter-window width the traces were recorded
 /// with; windowed tracks render as `util.<name>` counter series.
+///
+/// The text is written event by event into one buffer, and is byte for
+/// byte what `serde_json::to_string` gives for the same events as a
+/// `Value` tree (field order, `{:?}` floats, `null` for a non-finite
+/// counter value, escaped names): the test module keeps that tree
+/// renderer as the oracle.
 pub fn render(sweep: &str, traces: &[PointTrace], window_ps: u64) -> String {
-    let mut meta: Vec<Value> = Vec::new();
-    // (pid, tid, entry) triples, then a stable sort by timestamp — ties
-    // keep push order, so the result is fully deterministic.
-    let mut timeline: Vec<(usize, usize, Entry)> = Vec::new();
-
+    // Timeline entries in push order, then a stable sort by timestamp —
+    // ties keep push order, so the result is fully deterministic.
+    let mut timeline: Vec<Timed> = Vec::with_capacity(
+        traces
+            .iter()
+            .map(|t| t.events.len() + t.tracks.iter().map(|tr| tr.windows.len()).sum::<usize>())
+            .sum(),
+    );
+    // Metadata events come first and carry no timestamp, so they are
+    // written as they are met: `kind` names the process or the thread
+    // `(pid, tid)` as `label`.
+    let mut meta = String::new();
+    let mut name_lane = |kind: &str, pid: usize, tid: usize, label: &str| {
+        write!(
+            meta,
+            r#"{{"name":"{kind}","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"#
+        )
+        .expect("write to String");
+        serde_json::write_str(&mut meta, label);
+        meta.push_str("}},");
+    };
     for trace in traces {
         let pid = trace.index;
-        meta.push(obj(vec![
-            ("name", Value::Str("process_name".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::U64(pid as u64)),
-            ("tid", Value::U64(0)),
-            (
-                "args",
-                obj(vec![("name", Value::Str(format!("{sweep} point {pid}")))]),
-            ),
-        ]));
+        name_lane("process_name", pid, 0, &format!("{sweep} point {pid}"));
         // Tracks become threads, numbered by first appearance; counters
         // live on the reserved tid 0.
-        fn tid_of(track: &'static str, tracks: &mut Vec<&'static str>) -> usize {
-            match tracks.iter().position(|t| *t == track) {
-                Some(i) => i + 1,
-                None => {
-                    tracks.push(track);
-                    tracks.len()
-                }
-            }
-        }
         let mut tracks: Vec<&'static str> = Vec::new();
         for ev in &trace.events {
             let tid = match ev {
                 TraceEvent::Span { track, .. } | TraceEvent::Instant { track, .. } => {
-                    tid_of(track, &mut tracks)
+                    match tracks.iter().position(|t| t == track) {
+                        Some(i) => i + 1,
+                        None => {
+                            tracks.push(track);
+                            tracks.len()
+                        }
+                    }
                 }
                 TraceEvent::Counter { .. } => 0,
             };
-            timeline.push((pid, tid, Entry::Rec(ev)));
+            timeline.push(Timed {
+                ts_ps: ev.ts_ps(),
+                pid,
+                tid,
+                entry: Entry::Rec(ev),
+            });
         }
         for (i, track) in tracks.iter().enumerate() {
-            meta.push(obj(vec![
-                ("name", Value::Str("thread_name".into())),
-                ("ph", Value::Str("M".into())),
-                ("pid", Value::U64(pid as u64)),
-                ("tid", Value::U64(i as u64 + 1)),
-                ("args", obj(vec![("name", Value::Str((*track).into()))])),
-            ]));
+            name_lane("thread_name", pid, i + 1, track);
         }
         for tr in &trace.tracks {
             push_util_entries(&mut timeline, pid, tr, window_ps);
         }
     }
 
-    timeline.sort_by_key(|(_, _, e)| e.ts_ps());
+    timeline.sort_by_key(|t| t.ts_ps);
 
-    let mut events = meta;
-    events.reserve(timeline.len());
-    for (pid, tid, entry) in timeline {
-        let mut fields: Vec<(&str, Value)> = Vec::new();
-        match entry {
+    // ~100 bytes per event; reserving once spares the doubling copies.
+    let mut out = String::with_capacity(64 + meta.len() + timeline.len() * 112);
+    out.push_str(r#"{"displayTimeUnit":"ms","traceEvents":["#);
+    out.push_str(&meta);
+    let mut util_name = String::from(UTIL_PREFIX);
+    for t in &timeline {
+        out.push_str(r#"{"name":"#);
+        match t.entry {
             Entry::Rec(TraceEvent::Span {
                 track,
                 name,
@@ -137,65 +135,63 @@ pub fn render(sweep: &str, traces: &[PointTrace], window_ps: u64) -> String {
                 end_ps,
                 arg,
             }) => {
-                fields.push(("name", Value::Str((*name).into())));
-                fields.push(("cat", Value::Str((*track).into())));
-                fields.push(("ph", Value::Str("X".into())));
-                fields.push(("ts", us(*start_ps)));
-                fields.push(("dur", us(end_ps.saturating_sub(*start_ps))));
+                serde_json::write_str(&mut out, name);
+                out.push_str(r#","cat":"#);
+                serde_json::write_str(&mut out, track);
+                out.push_str(r#","ph":"X","ts":"#);
+                write_us(&mut out, *start_ps);
+                out.push_str(r#","dur":"#);
+                write_us(&mut out, end_ps.saturating_sub(*start_ps));
                 if let Some((k, v)) = arg {
-                    fields.push(("args", obj(vec![(k, Value::U64(*v))])));
+                    out.push_str(r#","args":{"#);
+                    serde_json::write_str(&mut out, k);
+                    write!(out, ":{v}}}").expect("write to String");
                 }
             }
             Entry::Rec(TraceEvent::Instant { track, name, at_ps }) => {
-                fields.push(("name", Value::Str((*name).into())));
-                fields.push(("cat", Value::Str((*track).into())));
-                fields.push(("ph", Value::Str("i".into())));
-                fields.push(("s", Value::Str("t".into())));
-                fields.push(("ts", us(*at_ps)));
+                serde_json::write_str(&mut out, name);
+                out.push_str(r#","cat":"#);
+                serde_json::write_str(&mut out, track);
+                out.push_str(r#","ph":"i","s":"t","ts":"#);
+                write_us(&mut out, *at_ps);
             }
             Entry::Rec(TraceEvent::Counter { name, at_ps, value }) => {
-                fields.push(("name", Value::Str((*name).into())));
-                fields.push(("ph", Value::Str("C".into())));
-                fields.push(("ts", us(*at_ps)));
-                fields.push(("args", obj(vec![("value", Value::F64(*value))])));
+                serde_json::write_str(&mut out, name);
+                out.push_str(r#","ph":"C","ts":"#);
+                write_us(&mut out, *at_ps);
+                out.push_str(r#","args":{"value":"#);
+                serde_json::write_f64(&mut out, *value);
+                out.push('}');
             }
-            Entry::Util {
-                name,
-                at_ps,
-                value,
-                kind,
-                bound,
-            } => {
+            Entry::Util { track, value } => {
                 // Blame tracks already carry their namespace; everything
                 // else windowed renders under `util.`.
-                let full = if name.starts_with(BLAME_PREFIX) {
-                    name.to_string()
+                if track.name.starts_with(BLAME_PREFIX) {
+                    serde_json::write_str(&mut out, track.name);
                 } else {
-                    format!("{UTIL_PREFIX}{name}")
-                };
-                fields.push(("name", Value::Str(full)));
-                fields.push(("ph", Value::Str("C".into())));
-                fields.push(("ts", us(at_ps)));
-                let mut args = vec![
-                    ("value", Value::F64(value)),
-                    ("kind", Value::Str(kind.into())),
-                ];
-                if let Some(b) = bound {
-                    args.push(("bound", Value::U64(b)));
+                    util_name.truncate(UTIL_PREFIX.len());
+                    util_name.push_str(track.name);
+                    serde_json::write_str(&mut out, &util_name);
                 }
-                fields.push(("args", obj(args)));
+                out.push_str(r#","ph":"C","ts":"#);
+                write_us(&mut out, t.ts_ps);
+                out.push_str(r#","args":{"value":"#);
+                serde_json::write_f64(&mut out, value);
+                out.push_str(r#","kind":"#);
+                serde_json::write_str(&mut out, track.kind.label());
+                if let Some(b) = track.bound {
+                    write!(out, r#","bound":{b}"#).expect("write to String");
+                }
+                out.push('}');
             }
         }
-        fields.push(("pid", Value::U64(pid as u64)));
-        fields.push(("tid", Value::U64(tid as u64)));
-        events.push(obj(fields));
+        write!(out, r#","pid":{},"tid":{}}},"#, t.pid, t.tid).expect("write to String");
     }
-
-    let root = obj(vec![
-        ("displayTimeUnit", Value::Str("ms".into())),
-        ("traceEvents", Value::Array(events)),
-    ]);
-    serde_json::to_string(&root).expect("trace serializes")
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Synthesize the counter events of one windowed track: one sample at
@@ -203,41 +199,28 @@ pub fn render(sweep: &str, traces: &[PointTrace], window_ps: u64) -> String {
 /// each maximal run of consecutive covered windows (so gaps and the
 /// tail render as idle instead of holding the last value).
 fn push_util_entries<'a>(
-    timeline: &mut Vec<(usize, usize, Entry<'a>)>,
+    timeline: &mut Vec<Timed<'a>>,
     pid: usize,
-    tr: &CounterTrack,
+    track: &'a CounterTrack,
     window_ps: u64,
 ) {
-    let kind = tr.kind.label();
-    for i in 0..tr.windows.len() {
-        let idx = tr.windows[i].0;
-        timeline.push((
+    let mut push = |idx: u64, value: f64| {
+        timeline.push(Timed {
+            ts_ps: idx * window_ps,
             pid,
-            0,
-            Entry::Util {
-                name: tr.name,
-                at_ps: idx * window_ps,
-                value: tr.window_value(i, window_ps),
-                kind,
-                bound: tr.bound,
-            },
-        ));
-        let run_ends = match tr.windows.get(i + 1) {
+            tid: 0,
+            entry: Entry::Util { track, value },
+        });
+    };
+    for i in 0..track.windows.len() {
+        let idx = track.windows[i].0;
+        push(idx, track.window_value(i, window_ps));
+        let run_ends = match track.windows.get(i + 1) {
             Some(next) => next.0 > idx + 1,
             None => true,
         };
         if run_ends {
-            timeline.push((
-                pid,
-                0,
-                Entry::Util {
-                    name: tr.name,
-                    at_ps: (idx + 1) * window_ps,
-                    value: 0.0,
-                    kind,
-                    bound: tr.bound,
-                },
-            ));
+            push(idx + 1, 0.0);
         }
     }
 }
@@ -412,6 +395,227 @@ fn check_util_sample(
     }
 }
 
+/// The `Value`-tree renderer the streamed [`render`] replaced, kept as
+/// the oracle of the differential tests.
+#[cfg(test)]
+pub(crate) mod tree {
+    use super::{BLAME_PREFIX, UTIL_PREFIX};
+    use crate::counters::CounterTrack;
+    use crate::recorder::{PointTrace, TraceEvent};
+    use serde::Value;
+
+    fn us(ps: u64) -> Value {
+        Value::F64(ps as f64 / 1e6)
+    }
+
+    fn obj(fields: Vec<(&str, Value)>) -> Value {
+        Value::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// One entry of the render timeline: either a recorded event or a
+    /// synthesized utilization counter sample (one per covered window, plus
+    /// a closing zero after each run so Perfetto doesn't hold the last
+    /// value forever).
+    enum Entry<'a> {
+        Rec(&'a TraceEvent),
+        Util {
+            name: &'static str,
+            at_ps: u64,
+            value: f64,
+            kind: &'static str,
+            bound: Option<u64>,
+        },
+    }
+
+    impl Entry<'_> {
+        fn ts_ps(&self) -> u64 {
+            match self {
+                Entry::Rec(ev) => ev.ts_ps(),
+                Entry::Util { at_ps, .. } => *at_ps,
+            }
+        }
+    }
+
+    /// [`super::render`] as it was: one `Value` per event, then
+    /// `serde_json::to_string` over the tree.
+    pub(crate) fn render(sweep: &str, traces: &[PointTrace], window_ps: u64) -> String {
+        let mut meta: Vec<Value> = Vec::new();
+        // (pid, tid, entry) triples, then a stable sort by timestamp — ties
+        // keep push order, so the result is fully deterministic.
+        let mut timeline: Vec<(usize, usize, Entry)> = Vec::new();
+
+        for trace in traces {
+            let pid = trace.index;
+            meta.push(obj(vec![
+                ("name", Value::Str("process_name".into())),
+                ("ph", Value::Str("M".into())),
+                ("pid", Value::U64(pid as u64)),
+                ("tid", Value::U64(0)),
+                (
+                    "args",
+                    obj(vec![("name", Value::Str(format!("{sweep} point {pid}")))]),
+                ),
+            ]));
+            // Tracks become threads, numbered by first appearance; counters
+            // live on the reserved tid 0.
+            fn tid_of(track: &'static str, tracks: &mut Vec<&'static str>) -> usize {
+                match tracks.iter().position(|t| *t == track) {
+                    Some(i) => i + 1,
+                    None => {
+                        tracks.push(track);
+                        tracks.len()
+                    }
+                }
+            }
+            let mut tracks: Vec<&'static str> = Vec::new();
+            for ev in &trace.events {
+                let tid = match ev {
+                    TraceEvent::Span { track, .. } | TraceEvent::Instant { track, .. } => {
+                        tid_of(track, &mut tracks)
+                    }
+                    TraceEvent::Counter { .. } => 0,
+                };
+                timeline.push((pid, tid, Entry::Rec(ev)));
+            }
+            for (i, track) in tracks.iter().enumerate() {
+                meta.push(obj(vec![
+                    ("name", Value::Str("thread_name".into())),
+                    ("ph", Value::Str("M".into())),
+                    ("pid", Value::U64(pid as u64)),
+                    ("tid", Value::U64(i as u64 + 1)),
+                    ("args", obj(vec![("name", Value::Str((*track).into()))])),
+                ]));
+            }
+            for tr in &trace.tracks {
+                push_util_entries(&mut timeline, pid, tr, window_ps);
+            }
+        }
+
+        timeline.sort_by_key(|(_, _, e)| e.ts_ps());
+
+        let mut events = meta;
+        events.reserve(timeline.len());
+        for (pid, tid, entry) in timeline {
+            let mut fields: Vec<(&str, Value)> = Vec::new();
+            match entry {
+                Entry::Rec(TraceEvent::Span {
+                    track,
+                    name,
+                    start_ps,
+                    end_ps,
+                    arg,
+                }) => {
+                    fields.push(("name", Value::Str((*name).into())));
+                    fields.push(("cat", Value::Str((*track).into())));
+                    fields.push(("ph", Value::Str("X".into())));
+                    fields.push(("ts", us(*start_ps)));
+                    fields.push(("dur", us(end_ps.saturating_sub(*start_ps))));
+                    if let Some((k, v)) = arg {
+                        fields.push(("args", obj(vec![(k, Value::U64(*v))])));
+                    }
+                }
+                Entry::Rec(TraceEvent::Instant { track, name, at_ps }) => {
+                    fields.push(("name", Value::Str((*name).into())));
+                    fields.push(("cat", Value::Str((*track).into())));
+                    fields.push(("ph", Value::Str("i".into())));
+                    fields.push(("s", Value::Str("t".into())));
+                    fields.push(("ts", us(*at_ps)));
+                }
+                Entry::Rec(TraceEvent::Counter { name, at_ps, value }) => {
+                    fields.push(("name", Value::Str((*name).into())));
+                    fields.push(("ph", Value::Str("C".into())));
+                    fields.push(("ts", us(*at_ps)));
+                    fields.push(("args", obj(vec![("value", Value::F64(*value))])));
+                }
+                Entry::Util {
+                    name,
+                    at_ps,
+                    value,
+                    kind,
+                    bound,
+                } => {
+                    // Blame tracks already carry their namespace; everything
+                    // else windowed renders under `util.`.
+                    let full = if name.starts_with(BLAME_PREFIX) {
+                        name.to_string()
+                    } else {
+                        format!("{UTIL_PREFIX}{name}")
+                    };
+                    fields.push(("name", Value::Str(full)));
+                    fields.push(("ph", Value::Str("C".into())));
+                    fields.push(("ts", us(at_ps)));
+                    let mut args = vec![
+                        ("value", Value::F64(value)),
+                        ("kind", Value::Str(kind.into())),
+                    ];
+                    if let Some(b) = bound {
+                        args.push(("bound", Value::U64(b)));
+                    }
+                    fields.push(("args", obj(args)));
+                }
+            }
+            fields.push(("pid", Value::U64(pid as u64)));
+            fields.push(("tid", Value::U64(tid as u64)));
+            events.push(obj(fields));
+        }
+
+        let root = obj(vec![
+            ("displayTimeUnit", Value::Str("ms".into())),
+            ("traceEvents", Value::Array(events)),
+        ]);
+        serde_json::to_string(&root).expect("trace serializes")
+    }
+
+    /// Synthesize the counter events of one windowed track: one sample at
+    /// each covered window's start, and a closing zero one window after
+    /// each maximal run of consecutive covered windows (so gaps and the
+    /// tail render as idle instead of holding the last value).
+    fn push_util_entries<'a>(
+        timeline: &mut Vec<(usize, usize, Entry<'a>)>,
+        pid: usize,
+        tr: &CounterTrack,
+        window_ps: u64,
+    ) {
+        let kind = tr.kind.label();
+        for i in 0..tr.windows.len() {
+            let idx = tr.windows[i].0;
+            timeline.push((
+                pid,
+                0,
+                Entry::Util {
+                    name: tr.name,
+                    at_ps: idx * window_ps,
+                    value: tr.window_value(i, window_ps),
+                    kind,
+                    bound: tr.bound,
+                },
+            ));
+            let run_ends = match tr.windows.get(i + 1) {
+                Some(next) => next.0 > idx + 1,
+                None => true,
+            };
+            if run_ends {
+                timeline.push((
+                    pid,
+                    0,
+                    Entry::Util {
+                        name: tr.name,
+                        at_ps: (idx + 1) * window_ps,
+                        value: 0.0,
+                        kind,
+                        bound: tr.bound,
+                    },
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,6 +661,52 @@ mod tests {
         let a = render("test/sweep", &sample(), W);
         let b = render("test/sweep", &sample(), W);
         assert_eq!(a, b);
+    }
+
+    /// The streamed renderer writes exactly what the `Value`-tree
+    /// renderer serializes to: on recorded MCBN points (one of them
+    /// over its event cap) and on the events the simulator never
+    /// emits — names that need escaping, a span argument, non-finite
+    /// and negative-zero counter values, a bounded level track.
+    #[test]
+    fn streamed_render_matches_the_value_tree() {
+        use crate::testkit::mini_mcbn;
+        let mut traces = vec![
+            mini_mcbn(TraceRecorder::with_window(0, 20_000, W), 1, 64),
+            mini_mcbn(TraceRecorder::with_window(1, 700, W), 4, 64),
+        ];
+        assert!(traces[1].dropped > 0 && !traces[1].blame.is_empty());
+        let mut r = TraceRecorder::with_window(7, 100, W);
+        r.span(
+            "a \"quoted\" track",
+            "back\\slash\nnewline\u{1}",
+            Time::ns(3),
+            Time::ns(9),
+        );
+        r.span_arg(
+            "workload",
+            "copy",
+            Time::ns(4),
+            Time::ns(2),
+            "re\tp",
+            u64::MAX,
+        );
+        r.instant("a \"quoted\" track", "é", Time::ps(1));
+        r.counter("nan", Time::ns(5), f64::NAN);
+        r.counter("inf", Time::ns(5), f64::NEG_INFINITY);
+        r.counter("tiny", Time::ns(5), -0.0);
+        r.counter_bound("credit.occupancy", 8);
+        r.counter_level("credit.occupancy", Time::ZERO, Time::ps(W / 3), 5);
+        r.counter_level("credit.occupancy", Time::ps(5 * W), Time::ps(6 * W), 8);
+        traces.push(r.finish());
+        for sweep in ["contention/mcbn", "a \"sweep\""] {
+            let text = render(sweep, &traces, W);
+            assert!(text == tree::render(sweep, &traces, W), "{sweep}");
+            check(&text).expect("valid trace");
+        }
+        assert_eq!(render("empty", &[], W), tree::render("empty", &[], W));
+        let idle = vec![TraceRecorder::with_window(0, 10, W).finish()];
+        assert_eq!(render("idle", &idle, W), tree::render("idle", &idle, W));
     }
 
     #[test]

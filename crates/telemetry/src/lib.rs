@@ -35,8 +35,11 @@ pub mod baseline;
 pub mod blame;
 pub mod chrome;
 pub mod counters;
+mod ledger;
 pub mod recorder;
 pub mod summary;
+#[cfg(test)]
+mod testkit;
 
 pub use attribution::{PhaseSlice, PointAttribution, StageSlice, SweepAttribution};
 pub use baseline::{Baseline, Drift};
@@ -390,6 +393,12 @@ fn snapshot<T>(pick: impl Fn(&SweepFolds) -> T) -> Vec<T> {
     all.iter().map(pick).collect()
 }
 
+/// Snapshot of every sweep summary accumulated so far. `repro` reports
+/// event-cap overflow from this.
+pub fn summaries() -> Vec<SweepSummary> {
+    snapshot(|f| f.summary.clone())
+}
+
 /// Snapshot of every sweep attribution accumulated so far. Baseline
 /// record/check consume this in-process.
 pub fn attributions() -> Vec<SweepAttribution> {
@@ -430,8 +439,7 @@ fn write_artifact(
     ]);
     let path = cfg.dir.join(file);
     std::fs::create_dir_all(&cfg.dir)?;
-    let text = serde_json::to_string_pretty(&root).expect("artifact serializes");
-    std::fs::write(&path, text)?;
+    std::fs::write(&path, serde_json::value_to_string_pretty(&root))?;
     Ok(Some(path))
 }
 
@@ -615,6 +623,95 @@ mod tests {
         });
         let t = take().expect("main thread recorder intact");
         assert_eq!(t.counters, vec![("main", 1)]);
+    }
+
+    /// CI's `trace-parity` job runs this (`cargo test --release -p
+    /// thymesim-telemetry -- --ignored reference_tree`) after its
+    /// quick-profile traced run. It ties both fast bodies to their
+    /// oracles on whole artifact trees:
+    ///
+    /// * the same recorded sweeps are exported twice under
+    ///   `target/reference_tree/` — `fast/` through the shipped ledger
+    ///   and streamed renderer, `reference/` through the whole-ledger
+    ///   scan and the `Value`-tree renderer — and the trees must match
+    ///   file for file (CI also `diff -r`s them);
+    /// * every `<repo>/traces/*.trace.json` the quick profile wrote must
+    ///   be, byte for byte, the tree encoder's text for the events it
+    ///   parses to.
+    ///
+    /// The oracles are `#[cfg(test)]` items of this crate, which the
+    /// simulator cannot link; hence the recorded sweeps come from
+    /// [`testkit::mini_mcbn`] and the real tree is checked at the
+    /// encoder only.
+    #[test]
+    #[ignore = "writes target/reference_tree; run on its own by CI"]
+    fn reference_tree() {
+        use std::path::Path;
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = repo.join("target/reference_tree");
+        let _ = std::fs::remove_dir_all(&root);
+        let window = counters::DEFAULT_WINDOW_PS;
+        type Make = fn(usize, usize, u64) -> TraceRecorder;
+        let trees: [(&str, Make, bool); 2] = [
+            ("fast", TraceRecorder::with_window, false),
+            ("reference", TraceRecorder::with_scan_ledgers, true),
+        ];
+        for (tree, make, reference) in trees {
+            configure(TraceConfig {
+                dir: root.join(tree),
+                ..Default::default()
+            });
+            // (sweep, instances per point, reads per instance, event cap)
+            for (sweep, grid, reads, cap) in [
+                ("validate/stream-delay", [1, 1, 1], 600, 20_000),
+                ("contention/mcbn", [1, 2, 4], 2_000, 20_000),
+                ("contention/capped", [3, 6, 8], 300, 1_000),
+            ] {
+                let traces: Vec<PointTrace> = (0..grid.len())
+                    .map(|i| testkit::mini_mcbn(make(i, cap, window), grid[i], reads))
+                    .collect();
+                let configs = vec!["{}".to_string(); traces.len()];
+                let path = export_sweep(sweep, traces.len(), &traces, &configs).unwrap();
+                if reference {
+                    let text = chrome::tree::render(sweep, &traces, window);
+                    std::fs::write(path, text).unwrap();
+                }
+            }
+            assert!(write_summary().is_some() && write_attribution().is_some());
+            assert!(write_utilization().unwrap().is_some() && write_blame().unwrap().is_some());
+            disable();
+        }
+        let files = |tree: &str| {
+            let mut names: Vec<String> = std::fs::read_dir(root.join(tree))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(files("fast"), files("reference"));
+        assert_eq!(files("fast").len(), 3 * 2 + 4);
+        for name in files("fast") {
+            let read = |tree: &str| std::fs::read(root.join(tree).join(&name)).unwrap();
+            assert!(read("fast") == read("reference"), "{name} differs");
+        }
+
+        let Ok(quick) = std::fs::read_dir(repo.join("traces")) else {
+            eprintln!("no traces/ tree at the repository root: encoder check skipped");
+            return;
+        };
+        for entry in quick {
+            let path = entry.unwrap().path();
+            if path.to_string_lossy().ends_with(".trace.json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let tree: Value = serde_json::from_str(&text).unwrap();
+                assert!(
+                    serde_json::to_string(&tree).unwrap() == text,
+                    "{} is not what the tree encoder writes",
+                    path.display()
+                );
+            }
+        }
     }
 
     #[test]

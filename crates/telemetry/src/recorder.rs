@@ -6,6 +6,7 @@
 //! probe-facing surface; each forwards to the method of the same name.
 
 use crate::counters::{CounterRecorder, CounterTrack, DEFAULT_WINDOW_PS};
+use crate::ledger::{Ledger, Overlap};
 use thymesim_sim::{Dur, Histogram, Time};
 
 /// Identity of a workload phase: a static name plus an optional ordinal
@@ -54,12 +55,23 @@ impl Phase {
 /// attributed to the source current at record time. Observations
 /// outside any marker belong to [`Source::MAIN`], so a single-workload
 /// point degenerates to all-self blame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Eq, PartialOrd, Ord)]
 pub struct Source {
     pub name: &'static str,
     /// Instance ordinal; sources with the same name are distinct
     /// instances (`inst_0`, `inst_1`, ...).
     pub index: u64,
+}
+
+/// Field-wise equality, ordinal first: the blame probes compare
+/// sources several times per call, and the sources of one point mostly
+/// share a name and differ in the ordinal, so a mismatch costs one
+/// integer compare and a match usually no byte compare either.
+impl PartialEq for Source {
+    fn eq(&self, other: &Source) -> bool {
+        self.index == other.index
+            && (std::ptr::eq(self.name, other.name) || self.name == other.name)
+    }
 }
 
 impl Source {
@@ -169,9 +181,6 @@ pub struct PointTrace {
     pub blame: Vec<BlameEntry>,
 }
 
-/// One resource's occupancy ledger: `(start_ps, end_ps, holder)`.
-type LedgerSegments = Vec<(u64, u64, Source)>;
-
 /// The recording implementation: buffers up to `max_events` timeline
 /// events (histograms and totals are never capped) for one sweep point.
 #[derive(Debug)]
@@ -187,9 +196,16 @@ pub struct TraceRecorder {
     windowed: CounterRecorder,
     claims: Vec<(&'static str, u64)>,
     source: Source,
-    /// Per-resource occupancy ledgers: `(start_ps, end_ps, holder)`
-    /// segments in recording order, pruned as waits pass them by.
-    ledgers: Vec<(&'static str, LedgerSegments)>,
+    /// Per-resource occupancy ledgers, pruned as waits pass them by.
+    ledgers: Vec<(&'static str, Ledger)>,
+    /// The ledger's answer to the wait being decomposed and the charges
+    /// derived from it; kept between waits for their allocations only.
+    over: Vec<Overlap>,
+    charges: Vec<(Source, u64)>,
+    /// Test oracle: when set, occupancy goes to these whole-ledger
+    /// scans instead of `ledgers`.
+    #[cfg(test)]
+    scan_ledgers: Option<Vec<(&'static str, crate::ledger::ScanLedger)>>,
     blame: Vec<BlameEntry>,
 }
 
@@ -214,7 +230,21 @@ impl TraceRecorder {
             claims: Vec::new(),
             source: Source::MAIN,
             ledgers: Vec::new(),
+            over: Vec::new(),
+            charges: Vec::new(),
+            #[cfg(test)]
+            scan_ledgers: None,
             blame: Vec::new(),
+        }
+    }
+
+    /// A recorder that answers [`TraceRecorder::blame_wait`] from the
+    /// whole-ledger scan: the oracle of the differential tests.
+    #[cfg(test)]
+    pub(crate) fn with_scan_ledgers(index: usize, max_events: usize, window_ps: u64) -> Self {
+        TraceRecorder {
+            scan_ledgers: Some(Vec::new()),
+            ..TraceRecorder::with_window(index, max_events, window_ps)
         }
     }
 
@@ -365,7 +395,27 @@ impl TraceRecorder {
         if e <= s {
             return;
         }
-        crate::slot(&mut self.ledgers, resource, Vec::new).push((s, e, self.source));
+        #[cfg(test)]
+        if let Some(scans) = &mut self.scan_ledgers {
+            crate::slot(scans, resource, Default::default).occupy(s, e, self.source);
+            return;
+        }
+        crate::slot(&mut self.ledgers, resource, Ledger::default).occupy(s, e, self.source);
+    }
+
+    /// Each source's occupancy of `resource` during the non-empty wait
+    /// `[a, s)`, in first-overlap order; prunes what the wait passed by.
+    fn overlaps(&mut self, resource: &'static str, a: u64, s: u64, over: &mut Vec<Overlap>) {
+        #[cfg(test)]
+        if let Some(scans) = &mut self.scan_ledgers {
+            if let Some((_, ledger)) = scans.iter_mut().find(|(r, _)| *r == resource) {
+                ledger.overlaps(a, s, over);
+            }
+            return;
+        }
+        if let Some((_, ledger)) = self.ledgers.iter_mut().find(|(r, _)| *r == resource) {
+            ledger.overlaps(a, s, over);
+        }
     }
 
     /// Decompose the wait `[arrival, start)` **integer-exactly** against
@@ -373,65 +423,64 @@ impl TraceRecorder {
     /// ledger overlap with the wait; when overlapping segments (credit
     /// holders, serve workers) sum past the wait, charges scale down by
     /// largest-remainder apportionment so they still sum to exactly the
-    /// wait; any uncovered residual is self-blame. Ledger segments
-    /// wholly before `arrival` are pruned (bounded memory).
+    /// wait; any uncovered residual is self-blame.
+    ///
+    /// A non-empty wait prunes the segments that ended by its
+    /// `arrival`: waits arrive in near-simulation order, so those can
+    /// never be blamed again. (A rare out-of-order arrival only shifts
+    /// blame toward self — it never breaks the partition invariant.)
+    /// That bounds a ledger by the resource's backlog *between non-empty
+    /// waits*, not absolutely: zero-length waits prune nothing — doing
+    /// so would change which segments a later out-of-order wait still
+    /// sees — so a resource that never queues anyone keeps every
+    /// segment until the point ends (64 bytes each; the solo STREAM
+    /// reference point ends with all 14 144 of its `dram` segments).
     pub fn blame_wait(&mut self, resource: &'static str, arrival: Time, start: Time) {
         let (a, s) = (arrival.as_ps(), start.as_ps());
         let wait = s.saturating_sub(a);
         let victim = self.source;
         // Per-culprit charges for this wait, in ledger (first-overlap)
         // order; whatever they leave uncovered is self-blame.
-        let mut charges: Vec<(Source, u64)> = Vec::new();
+        let mut charges = std::mem::take(&mut self.charges);
+        charges.clear();
         let mut residual = wait;
+        let mut over = std::mem::take(&mut self.over);
+        over.clear();
         if wait > 0 {
-            if let Some((_, segs)) = self.ledgers.iter_mut().find(|(r, _)| *r == resource) {
-                // Segments wholly before the wait can never be blamed
-                // again: waits arrive in near-simulation order, so this
-                // keeps ledgers bounded. A rare out-of-order arrival
-                // only shifts blame toward self — never breaks the
-                // partition invariant.
-                segs.retain(|&(_, e, _)| e > a);
-                let mut over: Vec<(Source, u128)> = Vec::new();
-                for &(ls, le, src) in segs.iter() {
-                    let o = (le.min(s) as u128).saturating_sub(ls.max(a) as u128);
-                    if o == 0 {
-                        continue;
-                    }
-                    *crate::slot(&mut over, src, || 0) += o;
+            self.overlaps(resource, a, s, &mut over);
+            let total: u128 = over.iter().map(|o| o.ps).sum();
+            if total == 0 {
+                // No overlapping holders: the whole wait is self.
+            } else if total <= wait as u128 {
+                // Overlaps fit inside the wait: charge them in full.
+                charges.extend(over.iter().map(|o| (o.source, o.ps as u64)));
+                residual = wait - charges.iter().map(|(_, p)| p).sum::<u64>();
+            } else {
+                // Overlapping holders (credit window, serve workers)
+                // covered more than the wait: scale down by
+                // largest-remainder apportionment so the integer
+                // charges still sum to exactly `wait`. Ties break by
+                // ledger order (deterministic: one thread per point).
+                let w = wait as u128;
+                let mut rems: Vec<u128> = Vec::with_capacity(over.len());
+                for o in &over {
+                    let scaled = o.ps * w;
+                    charges.push((o.source, (scaled / total) as u64));
+                    rems.push(scaled % total);
                 }
-                let total: u128 = over.iter().map(|(_, o)| o).sum();
-                if total == 0 {
-                    // No overlapping holders: the whole wait is self.
-                } else if total <= wait as u128 {
-                    // Overlaps fit inside the wait: charge them in full.
-                    charges = over.into_iter().map(|(src, o)| (src, o as u64)).collect();
-                    residual = wait - charges.iter().map(|(_, p)| p).sum::<u64>();
-                } else {
-                    // Overlapping holders (credit window, serve workers)
-                    // covered more than the wait: scale down by
-                    // largest-remainder apportionment so the integer
-                    // charges still sum to exactly `wait`. Ties break by
-                    // ledger order (deterministic: one thread per point).
-                    let w = wait as u128;
-                    let mut rems: Vec<u128> = Vec::with_capacity(over.len());
-                    for &(src, o) in &over {
-                        let scaled = o * w;
-                        charges.push((src, (scaled / total) as u64));
-                        rems.push(scaled % total);
-                    }
-                    let mut left = wait - charges.iter().map(|(_, p)| p).sum::<u64>();
-                    let mut order: Vec<usize> = (0..charges.len()).collect();
-                    order.sort_by(|&i, &j| rems[j].cmp(&rems[i]));
-                    let mut k = 0;
-                    while left > 0 {
-                        charges[order[k % order.len()]].1 += 1;
-                        k += 1;
-                        left -= 1;
-                    }
-                    residual = 0;
+                let mut left = wait - charges.iter().map(|(_, p)| p).sum::<u64>();
+                let mut order: Vec<usize> = (0..charges.len()).collect();
+                order.sort_by(|&i, &j| rems[j].cmp(&rems[i]));
+                let mut k = 0;
+                while left > 0 {
+                    charges[order[k % order.len()]].1 += 1;
+                    k += 1;
+                    left -= 1;
                 }
+                residual = 0;
             }
         }
+        self.over = over;
         let cross: u64 = charges
             .iter()
             .filter(|(src, _)| *src != victim)
@@ -458,7 +507,7 @@ impl TraceRecorder {
         entry.waits += 1;
         entry.wait_ps += wait;
         entry.self_ps += residual;
-        for (src, ps) in charges {
+        for &(src, ps) in &charges {
             if src == victim {
                 entry.self_ps += ps;
             } else {
@@ -470,6 +519,7 @@ impl TraceRecorder {
         if let Some(track) = crate::blame::track_for(resource) {
             self.windowed.ratio(track, a, cross, wait);
         }
+        self.charges = charges;
     }
 }
 
