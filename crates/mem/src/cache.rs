@@ -77,6 +77,9 @@ impl CacheStats {
     }
 }
 
+/// The windowed miss-rate track every timed LLC access deposits into.
+pub(crate) const LLC_MISS_RATE: &str = "mem.llc_miss_rate";
+
 /// Sentinel tag marking an empty way. Unreachable as a real tag: a tag is
 /// `addr >> (line_shift + set_shift)`, so all-ones would require an
 /// address with every bit set in a ≥64-byte-line cache.
@@ -148,8 +151,8 @@ impl Cache {
     /// now occupies. The pair is an *execute-once* handle: a caller that
     /// knows its next accesses land on the same still-resident line (e.g.
     /// the scalars of one cache line, walked back to back with nothing
-    /// evicting in between) replays them through [`Cache::touch`] instead
-    /// of re-running the lookup — the `Stall(n-1)` half of the
+    /// evicting in between) replays them through [`Cache::touch_rounds`]
+    /// instead of re-running the lookup — the `Stall(n-1)` half of the
     /// execute-once-then-stall interface.
     pub fn access_entry(&mut self, a: Addr, write: bool) -> (Lookup, u32, u32) {
         self.tick += 1;
@@ -235,38 +238,9 @@ impl Cache {
         (Lookup::Miss { writeback }, set as u32, way)
     }
 
-    /// Re-touch a line located by a previous [`Cache::access_entry`]
-    /// *without* re-running the lookup — the stall half of the
-    /// execute-once-then-stall interface. State evolves exactly as a full
-    /// access that hits this way would: the LRU stamp advances, a write
-    /// dirties the line, and the hit is counted.
-    ///
-    /// The caller guarantees the line is still resident at `(set, way)`:
-    /// true whenever every access since the executing lookup hit (hits
-    /// never evict). Violating that silently corrupts the LRU state, so
-    /// debug builds verify residency did not change.
-    #[inline]
-    pub fn touch(&mut self, set: u32, way: u32, write: bool) {
-        let i = set as usize * self.cfg.ways + way as usize;
-        debug_assert!((way as usize) < self.cfg.ways);
-        debug_assert_ne!(self.tags[i], TAG_INVALID, "touch of an empty way");
-        self.tick += 1;
-        self.stamp[i] = self.tick;
-        if write {
-            self.dirty[i] = true;
-        }
-        self.mru[set as usize] = way;
-        self.stats.hits += 1;
-    }
-
-    /// Like [`Cache::access`], but stamped with the virtual time of the
-    /// access so the miss rate is reported as a windowed utilization
+    /// [`Cache::access_entry`] stamped with the virtual time of the
+    /// access, so the miss rate is reported as a windowed utilization
     /// counter (`mem.llc_miss_rate`: misses / accesses per window).
-    pub fn access_at(&mut self, at: thymesim_sim::Time, a: Addr, write: bool) -> Lookup {
-        self.access_at_entry(at, a, write).0
-    }
-
-    /// [`Cache::access_at`] with the `(set, way)` execute-once handle.
     pub fn access_at_entry(
         &mut self,
         at: thymesim_sim::Time,
@@ -275,30 +249,25 @@ impl Cache {
     ) -> (Lookup, u32, u32) {
         let r = self.access_entry(a, write);
         let miss = matches!(r.0, Lookup::Miss { .. });
-        thymesim_telemetry::counter_ratio("mem.llc_miss_rate", at, miss as u64, 1);
+        thymesim_telemetry::counter_ratio(LLC_MISS_RATE, at, miss as u64, 1);
         r
-    }
-
-    /// The telemetry-stamped stall: identical counter stream to a hitting
-    /// [`Cache::access_at`] at `at`, without the lookup.
-    #[inline]
-    pub fn touch_at(&mut self, at: thymesim_sim::Time, set: u32, way: u32, write: bool) {
-        self.touch(set, way, write);
-        thymesim_telemetry::counter_ratio("mem.llc_miss_rate", at, 0, 1);
     }
 
     /// Replay `rounds` round-robin passes over a group of resident lines
     /// in closed form: the final state (tick, LRU stamps, dirty bits,
-    /// MRU hints, hit count) is exactly what `rounds` repetitions of
-    /// `touch(set, way, write)` over the group in order would leave, at
-    /// O(group) cost instead of O(rounds × group). The intermediate
-    /// states are never observable because every replayed access is a
-    /// hit — nothing can evict or probe between them.
+    /// MRU hints, hit count) is exactly what `rounds` repetitions of a
+    /// hitting `access` to each line of the group in order would leave,
+    /// at O(group) cost instead of O(rounds × group) and without the
+    /// lookups. The intermediate states are never observable because
+    /// every replayed access is a hit — nothing can evict or probe
+    /// between them.
     ///
-    /// Caller contract: every `(set, way)` is resident (same as
-    /// [`Cache::touch`]) and the group's ways are distinct — both are
-    /// guaranteed when the handles come from one element's
-    /// `access_entry` calls on lines verified via `resident_at`.
+    /// Caller contract: every `(set, way)` still holds the line its
+    /// `access_entry` located — true whenever every access since then
+    /// hit (hits never evict); violating it silently corrupts the LRU
+    /// state — and the group's ways are distinct. Both are guaranteed
+    /// when the handles come from one element's `access_entry` calls on
+    /// lines verified via `resident_at`.
     pub fn touch_rounds(
         &mut self,
         touches: impl ExactSizeIterator<Item = (u32, u32, bool)>,
@@ -579,9 +548,10 @@ mod tests {
     #[test]
     fn touch_is_equivalent_to_a_hitting_access() {
         // Two identical caches, same traffic — one replays same-line hits
-        // through the execute-once handle, the other runs full lookups.
-        // LRU stamps, dirty bits, and stats must come out identical,
-        // observable through subsequent eviction decisions.
+        // through the execute-once handle (one-line group, one round per
+        // hit), the other runs full lookups. LRU stamps, dirty bits, and
+        // stats must come out identical, observable through subsequent
+        // eviction decisions.
         let mut full = tiny();
         let mut stalled = tiny();
         let (r_f, ..) = full.access_entry(Addr(0), false);
@@ -590,7 +560,7 @@ mod tests {
         // 3 more hits on the same line, one of them a write.
         for &w in &[false, true, false] {
             full.access(Addr(32), w); // same 64-byte line as Addr(0)
-            stalled.touch(set, way, w);
+            stalled.touch_rounds(std::iter::once((set, way, w)), 1);
         }
         assert_eq!(full.stats, stalled.stats);
         // Fill the set and evict: both must report the same dirty victim.

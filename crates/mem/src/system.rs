@@ -9,7 +9,7 @@
 
 use crate::addr::{Addr, AddressMap, Region};
 use crate::backing::Backing;
-use crate::cache::{Cache, CacheConfig, Lookup};
+use crate::cache::{Cache, CacheConfig, Lookup, LLC_MISS_RATE};
 use crate::dram::SharedDram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use thymesim_sim::{Dur, Histogram, Time};
@@ -81,8 +81,10 @@ pub struct MemStats {
 }
 
 /// Handle to a line resident in the LLC, returned by
-/// [`MemSystem::access_entry`] and consumed by [`MemSystem::retouch`].
-#[derive(Clone, Copy, Debug)]
+/// [`MemSystem::access_entry`] and consumed by
+/// [`MemSystem::retouch_rounds_at`]. The `Default` value locates nothing:
+/// it only fills array slots that an `access_entry` overwrites before use.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LineTouch {
     set: u32,
     way: u32,
@@ -168,8 +170,9 @@ impl<R: RemoteBackend> MemSystem<R> {
     /// like [`MemSystem::access_info`] but also returning a [`LineTouch`]
     /// handle locating the line in the LLC. A caller walking the
     /// remaining scalars of the same (now guaranteed-resident) line
-    /// replays them through [`MemSystem::retouch`] — same counters, same
-    /// telemetry, no repeated lookup, decode, or region dispatch.
+    /// replays them through [`MemSystem::retouch_rounds_at`] — same
+    /// counters, same telemetry, no repeated lookup, decode, or region
+    /// dispatch.
     pub fn access_entry(&mut self, at: Time, addr: Addr, write: bool) -> (Time, bool, LineTouch) {
         if write {
             self.stats.writes += 1;
@@ -248,32 +251,31 @@ impl<R: RemoteBackend> MemSystem<R> {
             .resident_at(self.map.line_of(addr), touch.set, touch.way)
     }
 
-    /// The stall half of the execute-once-then-stall interface: replay a
-    /// guaranteed hit on the line located by a previous
-    /// [`MemSystem::access_entry`]. Counters, LRU state, and the
-    /// telemetry stream evolve exactly as a full hitting access at `at`
-    /// would; only the lookup work is skipped. The caller guarantees the
-    /// line is still resident — true as long as every access since the
-    /// executing one hit (hits never evict).
-    #[inline]
-    pub fn retouch(&mut self, at: Time, touch: LineTouch, write: bool) -> Time {
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
-        self.cache.touch_at(at, touch.set, touch.way, write);
-        at + self.timing.llc_hit
+    /// The stall half of the execute-once-then-stall interface: replay
+    /// `rounds` round-robin passes of guaranteed hits over the lines
+    /// located by one element's [`MemSystem::access_entry`] calls, pass
+    /// `i` issuing at `start + i·step`. Counters, LRU state and the
+    /// telemetry stream end up exactly as `rounds × group` full hitting
+    /// accesses at those instants would leave them — traced or not —
+    /// at O(group) cost and one probe. The caller guarantees every line
+    /// is still resident ([`MemSystem::line_resident`]) — true as long
+    /// as every access since the executing one hit (hits never evict).
+    pub fn retouch_rounds_at(
+        &mut self,
+        start: Time,
+        step: Dur,
+        touches: &[(LineTouch, bool)],
+        rounds: u64,
+    ) {
+        let group = touches.len() as u64;
+        thymesim_telemetry::counter_ratio_run(LLC_MISS_RATE, start, step, rounds, 0, group);
+        self.retouch_rounds(touches, rounds);
     }
 
-    /// Bulk form of [`MemSystem::retouch`]: replay `rounds` round-robin
-    /// passes over a group of resident lines in closed form. Counters
-    /// and cache state end up exactly as `rounds` repetitions of
-    /// `retouch` over the group in order would leave them, at O(group)
-    /// cost. Unlike `retouch` this emits **no** telemetry probes, so it
-    /// is only byte-equivalent when tracing is disabled — callers must
-    /// gate on `!thymesim_telemetry::enabled()` and fall back to the
-    /// per-access path under tracing.
+    /// The state half of [`MemSystem::retouch_rounds_at`] alone: same
+    /// counters and cache state, **no** telemetry, for callers that
+    /// replay hits outside simulated time (host-cost probes). Simulated
+    /// workloads call the timed form, or their traces lose the hits.
     pub fn retouch_rounds(&mut self, touches: &[(LineTouch, bool)], rounds: u64) {
         for &(_, write) in touches {
             if write {
@@ -284,15 +286,6 @@ impl<R: RemoteBackend> MemSystem<R> {
         }
         self.cache
             .touch_rounds(touches.iter().map(|&(t, w)| (t.set, t.way, w)), rounds);
-    }
-
-    /// Drop every cached line (detach / barrier); dirty remote lines are
-    /// written back as posted traffic at time `at`.
-    pub fn flush_cache(&mut self, at: Time) {
-        let _ = at;
-        let _dirty = self.cache.flush();
-        // Timing of a full flush is dominated by the workload-visible
-        // barrier the caller models; data is already coherent in `backing`.
     }
 
     // -- typed, timed data accessors -------------------------------------
@@ -475,81 +468,106 @@ mod tests {
         assert!(s.stats.remote_latency.mean() > s.stats.local_latency.mean());
     }
 
-    #[test]
-    fn retouch_is_equivalent_to_a_hitting_access() {
-        // Walk the 16 scalars of one line two ways: full per-scalar
-        // accesses vs execute-once-then-retouch. Completion times, stats,
-        // and subsequent LRU behavior must be identical.
-        let mut full = sys(1200);
-        let mut stalled = sys(1200);
-        let a = Addr(0);
-        let (t0, miss0) = full.access_info(Time::ZERO, a, false);
-        let (t1, miss1, touch) = stalled.access_entry(Time::ZERO, a, false);
-        assert_eq!((t0, miss0), (t1, miss1));
-        let mut t_full = t0;
-        let mut t_stall = t1;
-        for i in 1..16u64 {
-            let write = i % 3 == 0;
-            let (t, miss) = full.access_info(t_full, a.offset(i * 8), write);
-            assert!(!miss);
-            t_full = t;
-            t_stall = stalled.retouch(t_stall, touch, write);
-            assert_eq!(t_full, t_stall, "scalar {i}");
-        }
-        assert_eq!(full.stats.reads, stalled.stats.reads);
-        assert_eq!(full.stats.writes, stalled.stats.writes);
-        assert_eq!(full.cache_stats(), stalled.cache_stats());
-        // The line was dirtied through both paths: evicting it must
-        // write back in both systems.
-        for s in [&mut full, &mut stalled] {
-            s.access(Time::ZERO, Addr(512), false);
-            s.access(Time::ZERO, Addr(1024), false);
-        }
-        assert_eq!(full.stats.local_writebacks, 1);
-        assert_eq!(stalled.stats.local_writebacks, 1);
+    /// Run `f` with a recorder installed (1 ns counter windows, so a
+    /// replayed run straddles several) and return what it captured.
+    fn traced<T>(f: impl FnOnce() -> T) -> (T, thymesim_telemetry::PointTrace) {
+        thymesim_telemetry::install(thymesim_telemetry::TraceRecorder::with_window(
+            0, 1_000, 1_000,
+        ));
+        let out = f();
+        (out, thymesim_telemetry::take().expect("recorder installed"))
+    }
+
+    fn assert_same_telemetry(
+        a: &thymesim_telemetry::PointTrace,
+        b: &thymesim_telemetry::PointTrace,
+    ) {
+        assert!(a.tracks.iter().any(|t| t.name == "mem.llc_miss_rate"));
+        assert_eq!(a.tracks, b.tracks);
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.counters, b.counters);
     }
 
     #[test]
-    fn retouch_rounds_is_equivalent_to_repeated_retouches() {
-        // Three lines resident in one system, replayed 15 rounds two
-        // ways: per-access retouch vs the closed-form bulk. Stats,
-        // cache counters, and subsequent LRU/writeback behavior must be
-        // identical.
-        let mut per = sys(1200);
-        let mut bulk = sys(1200);
-        let addrs = [Addr(0), Addr(128), Addr(256)];
-        let writes = [false, false, true];
-        let mut handles = Vec::new();
-        for s in [&mut per, &mut bulk] {
-            handles.clear();
-            for (&a, &w) in addrs.iter().zip(&writes) {
-                let (_, _, t) = s.access_entry(Time::ZERO, a, w);
-                handles.push((t, w));
-            }
-            for (&a, &(t, _)) in addrs.iter().zip(&handles) {
-                assert!(s.line_resident(a, t));
-            }
-        }
-        let rounds = 15;
-        for _ in 0..rounds {
-            for &(t, w) in &handles {
-                per.retouch(Time::ns(7), t, w);
-            }
-        }
-        bulk.retouch_rounds(&handles, rounds);
-        assert_eq!(per.stats.reads, bulk.stats.reads);
-        assert_eq!(per.stats.writes, bulk.stats.writes);
-        assert_eq!(per.cache_stats(), bulk.cache_stats());
-        // LRU stamps must agree too: force evictions in the shared set
-        // and require identical victim choices (observable as identical
-        // writeback counters and residency).
-        for s in [&mut per, &mut bulk] {
-            s.access(Time::ZERO, Addr(512), false); // set 0, third way needed
-            s.access(Time::ZERO, Addr(1024), false);
-            s.access(Time::ZERO, Addr(1536), false);
-        }
-        assert_eq!(per.cache_stats(), bulk.cache_stats());
-        assert_eq!(per.stats.local_writebacks, bulk.stats.local_writebacks);
+    fn retouch_is_equivalent_to_a_hitting_access() {
+        // Walk the 16 scalars of one line two ways, recorder installed:
+        // full per-scalar accesses vs execute-once then one-round replays
+        // through the handle. Stats, telemetry, and subsequent LRU
+        // behavior must be identical.
+        let walk = |stall: bool| {
+            traced(|| {
+                let mut s = sys(1200);
+                let a = Addr(0);
+                let (mut t, miss, touch) = s.access_entry(Time::ZERO, a, false);
+                assert!(miss);
+                for i in 1..16u64 {
+                    let write = i % 3 == 0;
+                    if stall {
+                        s.retouch_rounds_at(t, Dur::ZERO, &[(touch, write)], 1);
+                        t += Dur::ns(4);
+                    } else {
+                        let (done, miss) = s.access_info(t, a.offset(i * 8), write);
+                        assert!(!miss, "scalar {i}");
+                        assert_eq!(done, t + Dur::ns(4));
+                        t = done;
+                    }
+                }
+                // The line was dirtied through both paths: evicting it
+                // must write back in both systems.
+                s.access(Time::ZERO, Addr(512), false);
+                s.access(Time::ZERO, Addr(1024), false);
+                assert_eq!(s.stats.local_writebacks, 1);
+                (s.stats.reads, s.stats.writes, s.cache_stats())
+            })
+        };
+        let (full, full_trace) = walk(false);
+        let (stalled, stalled_trace) = walk(true);
+        assert_eq!(full, stalled);
+        assert_same_telemetry(&full_trace, &stalled_trace);
+    }
+
+    #[test]
+    fn retouch_rounds_is_equivalent_to_repeated_hitting_accesses() {
+        // Three resident lines replayed 15 rounds two ways, recorder
+        // installed: full hitting accesses at `start + i·step` vs the
+        // closed form. Lines 0 (dirty) and 512 share set 0, so a wrong
+        // final-round stamp order shows as the wrong victim below.
+        let addrs = [Addr(0), Addr(512), Addr(128)];
+        let writes = [true, false, false];
+        let (start, step, rounds) = (Time::ns(7), Dur::ps(300), 15);
+        let replay = |bulk: bool| {
+            traced(|| {
+                let mut s = sys(1200);
+                let mut handles = Vec::new();
+                for (&a, &w) in addrs.iter().zip(&writes) {
+                    handles.push((s.access_entry(Time::ZERO, a, w).2, w));
+                }
+                for (&a, &(t, _)) in addrs.iter().zip(&handles) {
+                    assert!(s.line_resident(a, t));
+                }
+                if bulk {
+                    s.retouch_rounds_at(start, step, &handles, rounds);
+                } else {
+                    for i in 0..rounds {
+                        for (&a, &w) in addrs.iter().zip(&writes) {
+                            let (_, miss) = s.access_info(start + step * i, a, w);
+                            assert!(!miss);
+                        }
+                    }
+                }
+                let replayed = (s.stats.reads, s.stats.writes, s.cache_stats());
+                // Set 0 is full: the next conflict must evict line 0 —
+                // least recent of the final round, and dirty.
+                s.access(Time::ZERO, Addr(1024), false);
+                assert_eq!(s.stats.local_writebacks, 1);
+                s.access(Time::ZERO, Addr(1536), false);
+                (replayed, s.cache_stats(), s.stats.local_writebacks)
+            })
+        };
+        let (per, per_trace) = replay(false);
+        let (bulk, bulk_trace) = replay(true);
+        assert_eq!(per, bulk);
+        assert_same_telemetry(&per_trace, &bulk_trace);
     }
 
     #[test]
@@ -562,17 +580,5 @@ mod tests {
             s.access(Time::ZERO, Addr(16), false);
         } // drop flushes
         assert!(timed_accesses_total() >= before + 3);
-    }
-
-    #[test]
-    fn flush_makes_next_access_miss() {
-        let mut s = sys(1200);
-        let a = Addr(0);
-        s.access(Time::ZERO, a, false);
-        s.access(Time::ZERO, a, false);
-        assert_eq!(s.cache_stats().hits, 1);
-        s.flush_cache(Time::ZERO);
-        s.access(Time::ZERO, a, false);
-        assert_eq!(s.cache_stats().misses, 2);
     }
 }

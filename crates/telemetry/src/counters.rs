@@ -210,6 +210,38 @@ impl CounterRecorder {
         Self::deposit(track, at_ps / w, num as u128, den as u128);
     }
 
+    /// `count` identical [`CounterRecorder::ratio`] pairs at instants
+    /// `start_ps + i·step_ps`, deposited once per window touched: each
+    /// window receives the pair times the number of instants it holds,
+    /// so the integers are exactly those of the `count` single calls
+    /// (none, not even the track, when `count` is zero).
+    pub fn ratio_run(
+        &mut self,
+        name: &'static str,
+        start_ps: u64,
+        step_ps: u64,
+        count: u64,
+        num: u64,
+        den: u64,
+    ) {
+        if count == 0 {
+            return;
+        }
+        let (w, num, den) = (self.window_ps, num as u128, den as u128);
+        let track = self.track(name, CounterKind::Ratio);
+        let mut i = 0;
+        while i < count {
+            let at = start_ps + i * step_ps;
+            // Instants left in this window: `at + k·step < window end`.
+            let n = match step_ps {
+                0 => count - i,
+                s => ((w - 1 - at % w) / s + 1).min(count - i),
+            };
+            Self::deposit(track, at / w, num * n as u128, den * n as u128);
+            i += n;
+        }
+    }
+
     /// Declare a level track's capacity (idempotent).
     pub fn bound(&mut self, name: &'static str, bound: u64) {
         self.track(name, CounterKind::Level).bound = Some(bound);
@@ -670,6 +702,50 @@ mod tests {
         assert_eq!(tracks[0].windows, vec![(0, 1, 2), (1, 1, 1)]);
         assert_eq!(tracks[0].window_value(0, W), 0.5);
         assert_eq!(tracks[0].window_value(1, W), 1.0);
+    }
+
+    proptest::proptest! {
+        /// `ratio_run` is `count` calls of `ratio`, whatever the window
+        /// width, wherever the run's first and last instants fall
+        /// against window boundaries, and whichever single deposits on
+        /// the same track it lands among (in any interleaving).
+        #[test]
+        fn prop_ratio_run_matches_repeated_ratio(
+            w in 1u64..5_000,
+            align in 0u8..4,
+            offset in 0u64..60_000,
+            step in 0u64..7_000,
+            count in 0u64..40,
+            num in 0u64..3,
+            singles in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..12),
+        ) {
+            let span = count.saturating_sub(1) * step;
+            let start = match align {
+                0 => offset / w * w,                         // starts on a boundary
+                1 => offset / w * w + w - 1,                 // starts just before one
+                2 => (offset + span).div_ceil(w) * w - span, // ends on one
+                _ => offset,
+            };
+            // Each word is a single deposit and its place in the shuffle:
+            // before or after the run in the bulk recorder, spliced
+            // between the run's instants in the per-call one.
+            let single = |r: &mut CounterRecorder, word: u64| {
+                r.ratio("miss", word % 300_000, word >> 20 & 1, 1 + (word >> 21 & 1));
+            };
+            let (mut bulk, mut per) = (CounterRecorder::new(w), CounterRecorder::new(w));
+            let (before, after): (Vec<u64>, Vec<u64>) = singles.iter().partition(|&&x| x >> 32 & 1 == 0);
+            before.iter().for_each(|&word| single(&mut bulk, word));
+            bulk.ratio_run("miss", start, step, count, num, 2);
+            after.iter().for_each(|&word| single(&mut bulk, word));
+            let mut rest = singles.iter().rev();
+            for i in 0..count {
+                per.ratio("miss", start + i * step, num, 2);
+                rest.next().into_iter().for_each(|&word| single(&mut per, word));
+            }
+            rest.for_each(|&word| single(&mut per, word));
+            // `count == 0` with no singles leaves both trackless.
+            proptest::prop_assert_eq!(bulk.finish(), per.finish());
+        }
     }
 
     #[test]

@@ -277,6 +277,22 @@ pub fn counter_ratio(name: &'static str, at: Time, num: u64, den: u64) {
     with(|r| r.counter_ratio(name, at, num, den));
 }
 
+/// Record `count` identical [`counter_ratio`] pairs at the instants
+/// `start + i·step` in one call — the telemetry of a run of events whose
+/// times are known in closed form (a line's replayed hits). Window sums
+/// are exactly those of the `count` single calls.
+#[inline]
+pub fn counter_ratio_run(
+    name: &'static str,
+    start: Time,
+    step: Dur,
+    count: u64,
+    num: u64,
+    den: u64,
+) {
+    with(|r| r.counter_ratio_run(name, start, step, count, num, den));
+}
+
 /// Declare a level counter's capacity (credit window size, ...); the
 /// exported track carries it and saturation is measured against it.
 #[inline]

@@ -367,6 +367,19 @@ impl TraceRecorder {
         self.windowed.ratio(name, at.as_ps(), num, den);
     }
 
+    pub fn counter_ratio_run(
+        &mut self,
+        name: &'static str,
+        start: Time,
+        step: Dur,
+        count: u64,
+        num: u64,
+        den: u64,
+    ) {
+        self.windowed
+            .ratio_run(name, start.as_ps(), step.as_ps(), count, num, den);
+    }
+
     pub fn counter_bound(&mut self, name: &'static str, bound: u64) {
         self.windowed.bound(name, bound);
     }

@@ -256,124 +256,95 @@ impl StreamProcess {
             Kernel::Triad => ([(b, false), (c, false), (a, true)], 3),
         };
 
-        // Execute-once-then-stall: the first element of the line-step
-        // runs the full memory model once per array and keeps the line
-        // handles; once every handle is verified resident (misses in the
-        // executing element can evict a sibling only when the arrays
-        // alias one set and the associativity is tiny), the remaining
-        // same-line elements replay as stalls — identical counters and
-        // LRU evolution, none of the lookup work.
-        let mut handles = [None::<thymesim_mem::LineTouch>; 3];
-        let mut fast = false;
+        // Execute-once-then-stall: an element runs the full memory model
+        // once per array and keeps the line handles. If every handle
+        // holds the line of the step's *last* element, the rest of the
+        // step stalls on them: guaranteed hits — identical counters, LRU
+        // evolution and telemetry, none of the lookup work. Otherwise the
+        // element retires alone and the next one executes. The one check
+        // covers both ways a handle can fail: its way was filled with
+        // the element's own line and only sibling arrays' lines (disjoint
+        // allocations) can have replaced that since, so finding the last
+        // element's line there means the handle survived its siblings'
+        // misses *and* the line reaches the end of the step — which a
+        // line shorter than the step does not.
+        let cpe = self.cfg.cpu_per_element;
         let mut j = j0;
         while j < j1 {
             let at = self.ring.issue_at(self.cpu_time);
-            if fast {
-                // Per-element stall path, kept for tracing runs: the
-                // bulk replay below skips per-access telemetry probes.
-                for (k, &(_, write)) in roles[..nr].iter().enumerate() {
-                    sys.retouch(at, handles[k].expect("fast path without handle"), write);
+            let mut group = [(thymesim_mem::LineTouch::default(), false); 3];
+            for (k, &(v, write)) in roles[..nr].iter().enumerate() {
+                let (done, missed, touch) = sys.access_entry(at, v.addr(j), write);
+                if missed {
+                    self.ring.push(done);
                 }
-            } else {
-                for (k, &(v, write)) in roles[..nr].iter().enumerate() {
-                    let (done, missed, touch) = sys.access_entry(at, v.addr(j), write);
-                    if missed {
-                        self.ring.push(done);
-                    }
-                    handles[k] = Some(touch);
-                }
-                fast = roles[..nr].iter().enumerate().all(|(k, &(v, _))| {
-                    sys.line_resident(v.addr(j), handles[k].expect("handle just stored"))
-                });
-                if fast && !thymesim_telemetry::enabled() {
-                    // Bulk stall for the rest of the line: the remaining
-                    // elements are all guaranteed hits, which never push
-                    // the issue ring, so their issue times collapse —
-                    // the next issues at `issue_at` of the post-miss
-                    // clock and every later one exactly
-                    // `cpu_per_element` after its predecessor. Replay
-                    // the cache/counter evolution in closed form and do
-                    // the data ops as bulk runs (no read-after-write
-                    // hazards: every kernel's source and destination
-                    // arrays are disjoint allocations).
-                    let n = (j1 - j) as usize; // this element + stalls
-                    let stalls = (j1 - j) - 1;
-                    if stalls > 0 {
-                        let mut group = [(handles[0].expect("fast path without handle"), false); 3];
-                        for (k, &(_, write)) in roles[..nr].iter().enumerate() {
-                            group[k] = (handles[k].expect("fast path without handle"), write);
-                        }
-                        sys.retouch_rounds(&group[..nr], stalls);
-                    }
-                    let (mut x, mut y) = ([0f64; 16], [0f64; 16]);
-                    match kernel {
-                        Kernel::Copy => {
-                            a.get_raw_run(sys, j, &mut x[..n]);
-                            c.set_raw_run(sys, j, &x[..n]);
-                        }
-                        Kernel::Scale => {
-                            c.get_raw_run(sys, j, &mut x[..n]);
-                            for v in &mut x[..n] {
-                                // Keep the scalar path's `s * cv` operand
-                                // order; `*v *= s` would compute `cv * s`.
-                                #[allow(clippy::assign_op_pattern)]
-                                {
-                                    *v = s * *v;
-                                }
-                            }
-                            b.set_raw_run(sys, j, &x[..n]);
-                        }
-                        Kernel::Add => {
-                            a.get_raw_run(sys, j, &mut x[..n]);
-                            b.get_raw_run(sys, j, &mut y[..n]);
-                            for (v, w) in x[..n].iter_mut().zip(&y[..n]) {
-                                *v += w;
-                            }
-                            c.set_raw_run(sys, j, &x[..n]);
-                        }
-                        Kernel::Triad => {
-                            b.get_raw_run(sys, j, &mut x[..n]);
-                            c.get_raw_run(sys, j, &mut y[..n]);
-                            for (v, w) in x[..n].iter_mut().zip(&y[..n]) {
-                                *v += s * w;
-                            }
-                            a.set_raw_run(sys, j, &x[..n]);
-                        }
-                    }
-                    // This element's clock step, then the stalled run's
-                    // telescoped recurrence (`at = issue_at(cpu);
-                    // cpu = at + cpe`, with the ring frozen).
-                    self.cpu_time = self.cpu_time.max2(at) + self.cfg.cpu_per_element;
-                    if stalls > 0 {
-                        let at2 = self.ring.issue_at(self.cpu_time);
-                        self.cpu_time = at2 + self.cfg.cpu_per_element * stalls;
-                    }
-                    break;
-                }
+                group[k] = (touch, write);
             }
+            let fast = (0..nr).all(|k| sys.line_resident(roles[k].0.addr(j1 - 1), group[k].0));
+            let stalls = if fast { j1 - j - 1 } else { 0 };
+
+            // The element's clock step; then the stalls, which never
+            // push the issue ring, so the recurrence `at = issue_at(cpu);
+            // cpu = at + cpe` telescopes: the first stall issues at
+            // `issue_at` of the post-miss clock and every later one
+            // exactly `cpe` after its predecessor — which is also where
+            // the replayed hits sit on the telemetry timeline.
+            self.cpu_time = self.cpu_time.max2(at) + cpe;
+            if stalls > 0 {
+                let at2 = self.ring.issue_at(self.cpu_time);
+                sys.retouch_rounds_at(at2, cpe, &group[..nr], stalls);
+                self.cpu_time = at2 + cpe * stalls;
+            }
+
+            // Data ops for the element and its stalls, as bulk runs (no
+            // read-after-write hazards: every kernel's source and
+            // destination arrays are disjoint allocations).
+            let n = 1 + stalls as usize;
+            let (mut x, mut y) = ([0f64; 16], [0f64; 16]);
             match kernel {
                 Kernel::Copy => {
-                    let av = a.get_raw(sys, j);
-                    c.set_raw(sys, j, av);
+                    a.get_raw_run(sys, j, &mut x[..n]);
+                    c.set_raw_run(sys, j, &x[..n]);
                 }
                 Kernel::Scale => {
-                    let cv = c.get_raw(sys, j);
-                    b.set_raw(sys, j, s * cv);
+                    c.get_raw_run(sys, j, &mut x[..n]);
+                    for v in &mut x[..n] {
+                        // `s * cv`, STREAM's operand order; `*v *= s`
+                        // would compute `cv * s`.
+                        #[allow(clippy::assign_op_pattern)]
+                        {
+                            *v = s * *v;
+                        }
+                    }
+                    b.set_raw_run(sys, j, &x[..n]);
                 }
                 Kernel::Add => {
-                    let (av, bv) = (a.get_raw(sys, j), b.get_raw(sys, j));
-                    c.set_raw(sys, j, av + bv);
+                    a.get_raw_run(sys, j, &mut x[..n]);
+                    b.get_raw_run(sys, j, &mut y[..n]);
+                    for (v, w) in x[..n].iter_mut().zip(&y[..n]) {
+                        *v += w;
+                    }
+                    c.set_raw_run(sys, j, &x[..n]);
                 }
                 Kernel::Triad => {
-                    let (bv, cv) = (b.get_raw(sys, j), c.get_raw(sys, j));
-                    a.set_raw(sys, j, bv + s * cv);
+                    b.get_raw_run(sys, j, &mut x[..n]);
+                    c.get_raw_run(sys, j, &mut y[..n]);
+                    for (v, w) in x[..n].iter_mut().zip(&y[..n]) {
+                        *v += s * w;
+                    }
+                    a.set_raw_run(sys, j, &x[..n]);
                 }
             }
-            self.cpu_time = self.cpu_time.max2(at) + self.cfg.cpu_per_element;
-            j += 1;
+            j += 1 + stalls;
         }
 
-        // Advance the cursor.
+        self.finish_line(kernel)
+    }
+
+    /// Advance the cursor past a processed line, closing the kernel (and
+    /// the run) at its last one.
+    #[inline]
+    fn finish_line(&mut self, kernel: Kernel) -> Step {
         self.cursor.line += 1;
         if self.cursor.line == self.lines {
             self.cursor.line = 0;
@@ -611,6 +582,216 @@ mod tests {
             (2.5..3.5).contains(&ratio),
             "3 reps should take ~3x one rep, got {ratio}"
         );
+    }
+
+    /// The definition `step_on` is held to: every element of the step a
+    /// full `access_info` per array, scalar data ops and a per-element
+    /// clock — no handles, no closed forms.
+    fn step_definitional<R: RemoteBackend>(p: &mut StreamProcess, sys: &mut MemSystem<R>) -> Step {
+        let kernel = KERNELS[p.cursor.kernel];
+        thymesim_telemetry::phase_begin(kernel.name(), None);
+        let j0 = p.cursor.line * p.elems_per_line;
+        let j1 = (j0 + p.elems_per_line).min(p.cfg.elements);
+        let (s, StreamArrays { a, b, c }) = (p.cfg.scalar, p.arrays);
+        for j in j0..j1 {
+            let at = p.ring.issue_at(p.cpu_time);
+            let mut access = |v: SimVec<f64>, write: bool| {
+                let (done, missed) = sys.access_info(at, v.addr(j), write);
+                if missed {
+                    p.ring.push(done);
+                }
+            };
+            let (dst, value) = match kernel {
+                Kernel::Copy => {
+                    access(a, false);
+                    (c, a.get_raw(sys, j))
+                }
+                Kernel::Scale => {
+                    access(c, false);
+                    (b, s * c.get_raw(sys, j))
+                }
+                Kernel::Add => {
+                    access(a, false);
+                    access(b, false);
+                    (c, a.get_raw(sys, j) + b.get_raw(sys, j))
+                }
+                Kernel::Triad => {
+                    access(b, false);
+                    access(c, false);
+                    (a, b.get_raw(sys, j) + s * c.get_raw(sys, j))
+                }
+            };
+            let (done, missed) = sys.access_info(at, dst.addr(j), true);
+            if missed {
+                p.ring.push(done);
+            }
+            dst.set_raw(sys, j, value);
+            p.cpu_time = p.cpu_time.max2(at) + p.cfg.cpu_per_element;
+        }
+        p.finish_line(kernel)
+    }
+
+    /// Everything a run leaves behind that anything downstream can see.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        timings: Vec<(Kernel, u32, Dur)>,
+        report: String,
+        mem_stats: String,
+        cache_stats: thymesim_mem::CacheStats,
+        arrays: Vec<u64>,
+        /// Write-backs seen after each access of a follow-up conflict
+        /// pass: the order in which the run's lines leave the cache.
+        eviction_order: Vec<u64>,
+        /// `[tracks, stages, phased, counters, events, dropped, blame]`
+        /// of the point trace, when a recorder was installed.
+        trace: Option<[String; 7]>,
+    }
+
+    fn run_outcome<R: RemoteBackend>(
+        mut sys: MemSystem<R>,
+        base: Addr,
+        elements: u64,
+        definitional: bool,
+        traced: bool,
+    ) -> Outcome {
+        if traced {
+            // 1 µs counter windows: a kernel straddles many.
+            thymesim_telemetry::install(thymesim_telemetry::TraceRecorder::with_window(
+                0, 50_000, 1_000_000,
+            ));
+        }
+        let cfg = StreamConfig {
+            elements,
+            ntimes: 2,
+            mlp: 8,
+            ..StreamConfig::default()
+        };
+        let mut arena = Arena::new(base, 1 << 20);
+        let arrays = StreamArrays::alloc(&mut arena, elements);
+        arrays.init(&mut sys);
+        let mut p = StreamProcess::new(cfg, arrays, Time::ns(3));
+        while !p.is_done() {
+            if definitional {
+                step_definitional(&mut p, &mut sys);
+            } else {
+                p.step_on(&mut sys);
+            }
+        }
+        let report = p.report(&mut sys);
+        assert!(report.verified);
+        let (mem_stats, cache_stats) = (format!("{:?}", sys.stats), sys.cache_stats());
+        let conflicts = arena.alloc_vec::<f64>(16 * 1024);
+        let eviction_order = (0..conflicts.len())
+            .step_by(8)
+            .map(|j| {
+                sys.access(p.now(), conflicts.addr(j), false);
+                sys.cache_stats().writebacks
+            })
+            .collect();
+        Outcome {
+            timings: p.timings.clone(),
+            report: format!("{report:?}"),
+            mem_stats,
+            cache_stats,
+            arrays: [arrays.a, arrays.b, arrays.c]
+                .iter()
+                .flat_map(|v| (0..elements).map(|j| v.get_raw(&sys, j).to_bits()))
+                .collect(),
+            eviction_order,
+            trace: traced.then(|| {
+                let t = thymesim_telemetry::take().expect("recorder installed");
+                assert!(!t.tracks.is_empty() && !t.stages.is_empty());
+                [
+                    format!("{:?}", t.tracks),
+                    format!("{:?}", t.stages),
+                    format!("{:?}", t.phased),
+                    format!("{:?}", t.counters),
+                    format!("{:?}", t.events),
+                    format!("{:?}", t.dropped),
+                    format!("{:?}", t.blame),
+                ]
+            }),
+        }
+    }
+
+    fn local_geometry(sets: usize, ways: usize, line: u64) -> MemSystem<NoRemote> {
+        MemSystem::new(
+            AddressMap::new(64 << 20, 64 << 20, line),
+            CacheConfig { sets, ways, line },
+            shared_dram(DramConfig::default()),
+            SysTiming::default(),
+            NoRemote,
+        )
+    }
+
+    fn remote_backed() -> (MemSystem<thymesim_fabric::FabricEngine>, Addr) {
+        use thymesim_fabric::{ControlConfig, ControlPlane, DelaySpec, FabricConfig, FabricEngine};
+        let map = AddressMap::new(64 << 20, 64 << 20, 128);
+        let mut engine = FabricEngine::new(
+            FabricConfig {
+                delay: DelaySpec::Period(10),
+                ..FabricConfig::default()
+            },
+            shared_dram(DramConfig::default()),
+        );
+        let mut cp = ControlPlane::new(ControlConfig::default(), 1 << 30);
+        let res = cp.reserve(map.remote_size).expect("lender has capacity");
+        cp.attach(&mut engine, Time::ZERO, map.remote_base, res)
+            .expect("attach at PERIOD 10");
+        let sys = MemSystem::new(
+            map,
+            CacheConfig {
+                sets: 64,
+                ways: 4,
+                line: 128,
+            },
+            shared_dram(DramConfig::default()),
+            SysTiming::default(),
+            engine,
+        );
+        (sys, map.remote_base_addr())
+    }
+
+    #[test]
+    fn line_step_matches_the_definitional_stepper() {
+        // All four kernels, twice over, with a partial last line, against
+        // a 32 KiB LLC the arrays thrash. `aliased`: three arrays in one
+        // set of a 2-way cache, so an element's own misses evict its
+        // siblings and the step must not stall. `line64`: a step spans
+        // two lines, so the first line's handle must not serve the second.
+        type Case<'a> = (&'a str, &'a dyn Fn(bool, bool) -> Outcome);
+        let cases: [Case; 4] = [
+            ("local", &|d, t| {
+                run_outcome(local_geometry(64, 4, 128), Addr(0), 4805, d, t)
+            }),
+            ("remote", &|d, t| {
+                let (sys, base) = remote_backed();
+                run_outcome(sys, base, 4805, d, t)
+            }),
+            ("aliased", &|d, t| {
+                run_outcome(local_geometry(16, 2, 128), Addr(0), 1021, d, t)
+            }),
+            ("line64", &|d, t| {
+                run_outcome(local_geometry(128, 4, 64), Addr(0), 4805, d, t)
+            }),
+        ];
+        for (name, run) in cases {
+            let untraced = run(true, false);
+            let lines = untraced.arrays.len() as u64 / 16;
+            assert!(untraced.cache_stats.misses > lines, "{name}: must thrash");
+            assert_eq!(run(false, false), untraced, "{name}, no recorder");
+            let traced = run(true, true);
+            assert_eq!(run(false, true), traced, "{name}, recorder installed");
+            // Recording is observational.
+            assert_eq!(
+                Outcome {
+                    trace: None,
+                    ..traced
+                },
+                untraced,
+                "{name}, traced vs not"
+            );
+        }
     }
 
     #[test]
