@@ -49,19 +49,14 @@
 //!   phase when the drift is phase-confined, and `counter <name>` when
 //!   it is utilization-confined — and exits 1 on drift (2 when the
 //!   baseline is missing/malformed or pins a different command).
-//! * `--bench-json <path>` — after the run, write a throughput record:
-//!   wall-clock seconds, simulated points, points/sec, timed memory
-//!   accesses simulated, accesses/sec, and a `calib_ops_per_sec` score
-//!   from a fixed arithmetic loop run on the same machine moments
-//!   after the sweep. CI compares *normalized* throughput
-//!   (points_per_sec / calib_ops_per_sec) against the committed
-//!   record, so an absolute slowdown of the runner machine does not
-//!   read as a code regression.
+//!
+//! Any other argument after the command exits 2 naming it; the flag
+//! table is `thymesim_bench::Flags`.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
-use thymesim_bench::{profile_from_args, Profile};
+use thymesim_bench::{Flags, Profile};
 use thymesim_core::experiments::{
     ablate, apps, beyond, contention, dist, placement, qos, resilience, sensitivity, validate,
 };
@@ -74,15 +69,25 @@ use thymesim_sim::Dur;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let profile = profile_from_args(&args);
-    if let Some(dir) = out_dir(&args) {
-        std::fs::create_dir_all(&dir).expect("create --out directory");
-        OUT_DIR.set(dir).ok();
+    let flags = Flags::parse(args.get(1..).unwrap_or_default()).unwrap_or_else(|e| usage_error(&e));
+    let profile = flags.profile().unwrap_or_else(|e| usage_error(&e));
+    if let Some(dir) = flags.get("--out").flatten() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("# error: cannot create --out directory {dir}: {e}");
+            std::process::exit(1);
+        }
+        OUT_DIR.set(PathBuf::from(dir)).ok();
     }
 
-    let jobs = jobs_from_args(&args).unwrap_or_else(thymesim_sim::default_jobs);
-    let baseline = baseline_from_args(&args, &profile);
-    let cache = if args.iter().any(|a| a == "--no-cache") {
+    let jobs = match flags.get("--jobs").flatten() {
+        None => thymesim_sim::default_jobs(),
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => usage_error(&format!("--jobs expects a positive integer, got '{v}'")),
+        },
+    };
+    let baseline = baseline_mode(&flags, &profile);
+    let cache = if flags.get("--no-cache").is_some() {
         None
     } else {
         let base = OUT_DIR
@@ -103,15 +108,17 @@ fn main() {
         cache,
         progress: true,
     });
-    if let Some(filter) = trace_from_args(&args) {
-        let dir = trace_out_dir(&args);
+    // `--trace` alone traces every sweep; `--trace=<s>` only sweeps
+    // whose name contains `s`.
+    if let Some(filter) = flags.get("--trace") {
+        let dir = PathBuf::from(flags.get("--trace-out").flatten().unwrap_or("traces"));
         eprintln!(
             "# tracing: on (filter: {}), traces: {}",
-            filter.as_deref().unwrap_or("all sweeps"),
+            filter.unwrap_or("all sweeps"),
             dir.display()
         );
         thymesim_telemetry::configure(thymesim_telemetry::TraceConfig {
-            filter,
+            filter: filter.map(str::to_string),
             dir,
             ..Default::default()
         });
@@ -145,25 +152,18 @@ fn main() {
         }
         _ => match EXPERIMENTS.iter().find(|(names, ..)| names.contains(&cmd)) {
             Some((names, _, _, run)) => timed(names[0], || run(&profile)),
-            None => {
-                eprintln!(
-                    "unknown experiment '{cmd}'; expected one of: {}",
-                    command_names().join(" ")
-                );
-                std::process::exit(2);
-            }
+            None => usage_error(&format!(
+                "unknown experiment '{cmd}'; expected one of: {}",
+                command_names().join(" ")
+            )),
         },
     }
     if cmd != "list" {
-        let wall = started.elapsed();
         eprintln!(
             "# total: {:.2?} wall-clock ({} points simulated)",
-            wall,
+            started.elapsed(),
             sweep::simulated_point_count()
         );
-        if let Some(path) = bench_json_path(&args) {
-            write_bench_json(&path, cmd, &profile, wall);
-        }
         note_dropped_events();
         for (name, write) in ARTIFACTS {
             write_artifact(name, write());
@@ -295,26 +295,18 @@ impl BaselineMode {
     }
 }
 
-/// Parse `--baseline-record[=path]` / `--baseline-check[=path]`. The
+/// `--baseline-record[=path]`, else `--baseline-check[=path]`. The
 /// default path keys on the profile so quick/medium/paper baselines
 /// never collide.
-fn baseline_from_args(args: &[String], profile: &Profile) -> Option<BaselineMode> {
+fn baseline_mode(flags: &Flags, profile: &Profile) -> Option<BaselineMode> {
     let default = || PathBuf::from(format!("results/baselines/{}.json", profile.name));
-    for a in args {
-        if a == "--baseline-record" {
-            return Some(BaselineMode::Record(default()));
-        }
-        if let Some(rest) = a.strip_prefix("--baseline-record=") {
-            return Some(BaselineMode::Record(PathBuf::from(rest)));
-        }
-        if a == "--baseline-check" {
-            return Some(BaselineMode::Check(default()));
-        }
-        if let Some(rest) = a.strip_prefix("--baseline-check=") {
-            return Some(BaselineMode::Check(PathBuf::from(rest)));
-        }
+    let path = |given: Option<&str>| given.map_or_else(default, PathBuf::from);
+    if let Some(given) = flags.get("--baseline-record") {
+        return Some(BaselineMode::Record(path(given)));
     }
-    None
+    flags
+        .get("--baseline-check")
+        .map(|given| BaselineMode::Check(path(given)))
 }
 
 /// Execute the baseline step after the experiments ran. `label` pins
@@ -399,87 +391,6 @@ fn run_baseline(mode: BaselineMode, cmd: &str, profile: &Profile) {
 
 static OUT_DIR: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
 
-// ------------------------------------------------------------ bench-json
-
-/// Parse `--bench-json <path>` / `--bench-json=<path>`.
-fn bench_json_path(args: &[String]) -> Option<PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--bench-json" {
-            return it.next().map(PathBuf::from);
-        }
-        if let Some(rest) = a.strip_prefix("--bench-json=") {
-            return Some(PathBuf::from(rest));
-        }
-    }
-    None
-}
-
-/// A fixed, optimization-resistant arithmetic loop timed on this machine:
-/// the unit in which CI normalizes sweep throughput. An xorshift chain is
-/// serial (each step depends on the last), integer-only, and touches no
-/// memory, so its rate tracks scalar CPU speed — the same resource the
-/// simulator's hot loops consume.
-fn calibrate_ops_per_sec() -> f64 {
-    const OPS: u64 = 200_000_000;
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let t = Instant::now();
-    for _ in 0..OPS {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-    }
-    let dt = t.elapsed().as_secs_f64();
-    // Defeat dead-code elimination.
-    std::hint::black_box(x);
-    OPS as f64 / dt
-}
-
-#[derive(serde::Serialize)]
-struct BenchRecord {
-    command: String,
-    profile: String,
-    wall_seconds: f64,
-    points: u64,
-    points_per_sec: f64,
-    timed_accesses: u64,
-    accesses_per_sec: f64,
-    /// Machine-speed unit from [`calibrate_ops_per_sec`]; divide
-    /// throughput by this before comparing across runs.
-    calib_ops_per_sec: f64,
-    /// `points_per_sec / calib_ops_per_sec` — the machine-normalized
-    /// figure CI gates on.
-    normalized_points: f64,
-}
-
-fn write_bench_json(path: &PathBuf, cmd: &str, profile: &Profile, wall: std::time::Duration) {
-    let points = sweep::simulated_point_count() as u64;
-    let timed_accesses = thymesim_mem::timed_accesses_total();
-    let secs = wall.as_secs_f64();
-    let calib = calibrate_ops_per_sec();
-    let rec = BenchRecord {
-        command: cmd.to_string(),
-        profile: profile.name.to_string(),
-        wall_seconds: secs,
-        points,
-        points_per_sec: points as f64 / secs,
-        timed_accesses,
-        accesses_per_sec: timed_accesses as f64 / secs,
-        calib_ops_per_sec: calib,
-        normalized_points: (points as f64 / secs) / calib,
-    };
-    let text = serde_json::to_string_pretty(&rec).expect("bench record serializes");
-    std::fs::write(path, text + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    eprintln!(
-        "# bench: {:.2} points/s, {:.3e} accesses/s, calib {:.3e} ops/s -> {}",
-        rec.points_per_sec,
-        rec.accesses_per_sec,
-        calib,
-        path.display()
-    );
-}
-
 /// Time one experiment and report its wall-clock on stderr.
 fn timed(label: &str, f: impl FnOnce()) {
     let t = Instant::now();
@@ -487,71 +398,10 @@ fn timed(label: &str, f: impl FnOnce()) {
     eprintln!("# {label}: {:.2?} wall-clock", t.elapsed());
 }
 
-/// Parse `--jobs N` / `--jobs=N`.
-fn jobs_from_args(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let v = if a == "--jobs" {
-            it.next().cloned()
-        } else {
-            a.strip_prefix("--jobs=").map(str::to_string)
-        };
-        if let Some(v) = v {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => return Some(n),
-                _ => {
-                    eprintln!("--jobs expects a positive integer, got '{v}'");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Parse `--trace` / `--trace=<filter>`: `Some(None)` traces every
-/// sweep, `Some(Some(s))` only sweeps whose name contains `s`, `None`
-/// means tracing stays off.
-fn trace_from_args(args: &[String]) -> Option<Option<String>> {
-    for a in args {
-        if a == "--trace" {
-            return Some(None);
-        }
-        if let Some(rest) = a.strip_prefix("--trace=") {
-            return Some(Some(rest.to_string()));
-        }
-    }
-    None
-}
-
-/// Parse `--trace-out <dir>` (default `traces/`).
-fn trace_out_dir(args: &[String]) -> PathBuf {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--trace-out" {
-            if let Some(d) = it.next() {
-                return PathBuf::from(d);
-            }
-        }
-        if let Some(rest) = a.strip_prefix("--trace-out=") {
-            return PathBuf::from(rest);
-        }
-    }
-    PathBuf::from("traces")
-}
-
-/// Parse `--out <dir>`: also write each experiment's JSON there.
-fn out_dir(args: &[String]) -> Option<PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--out" {
-            return it.next().map(PathBuf::from);
-        }
-        if let Some(rest) = a.strip_prefix("--out=") {
-            return Some(PathBuf::from(rest));
-        }
-    }
-    None
+/// Report a bad command line and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 /// Persist an experiment's series as JSON when `--out` was given.

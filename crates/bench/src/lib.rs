@@ -1,9 +1,9 @@
 //! # thymesim-bench
 //!
-//! The benchmark harness: experiment profiles shared by the `repro`
-//! binary (which regenerates every paper table/figure) and the Criterion
-//! micro-benchmarks (which track the simulator's own performance).
+//! The benchmark harness: the experiment profiles and the flag table of
+//! the `repro` binary, which regenerates every paper table/figure.
 
+use std::collections::BTreeMap;
 use thymesim_core::prelude::*;
 use thymesim_mem::CacheConfig;
 use thymesim_sim::Dur;
@@ -272,23 +272,90 @@ impl Profile {
     }
 }
 
-/// Parse `--profile <name>` (or `THYMESIM_PROFILE`); default `medium`.
-pub fn profile_from_args(args: &[String]) -> Profile {
-    let mut name: Option<String> = std::env::var("THYMESIM_PROFILE").ok();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--profile" {
-            name = it.next().cloned();
-        } else if let Some(rest) = a.strip_prefix("--profile=") {
-            name = Some(rest.to_string());
+/// How a `repro` flag takes its value.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// `--flag v` or `--flag=v`.
+    Value,
+    /// `--flag` or `--flag=v`.
+    Optional,
+    /// `--flag` only.
+    Nothing,
+}
+
+/// Every flag `repro` accepts after its command.
+const FLAGS: [(&str, Takes); 8] = [
+    ("--profile", Takes::Value),
+    ("--jobs", Takes::Value),
+    ("--out", Takes::Value),
+    ("--trace-out", Takes::Value),
+    ("--trace", Takes::Optional),
+    ("--baseline-record", Takes::Optional),
+    ("--baseline-check", Takes::Optional),
+    ("--no-cache", Takes::Nothing),
+];
+
+/// The flags given after `repro`'s command, each with its value if it
+/// took one; a repeated flag keeps its last value.
+#[derive(Debug)]
+pub struct Flags(BTreeMap<&'static str, Option<String>>);
+
+impl Flags {
+    /// Read `args` against `FLAGS`. Fails naming the argument on an
+    /// unknown flag, a stray positional, a value flag with no value, or
+    /// a value given to a switch.
+    pub fn parse(args: &[String]) -> Result<Flags, String> {
+        let mut flags = BTreeMap::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let Some(&(name, takes)) = FLAGS.iter().find(|(flag, _)| *flag == name) else {
+                let known: Vec<&str> = FLAGS.iter().map(|(flag, _)| *flag).collect();
+                return Err(format!(
+                    "unknown argument '{arg}'; expected one of: {}",
+                    known.join(" ")
+                ));
+            };
+            let value = match (takes, inline) {
+                (Takes::Nothing, Some(_)) => {
+                    return Err(format!("{name} takes no value, got '{arg}'"))
+                }
+                (Takes::Value, None) => match args.next() {
+                    Some(value) => Some(value.clone()),
+                    None => return Err(format!("{name} expects a value")),
+                },
+                (_, inline) => inline,
+            };
+            flags.insert(name, value);
         }
+        Ok(Flags(flags))
     }
-    match name {
-        None => Profile::medium(),
-        Some(n) => Profile::by_name(&n).unwrap_or_else(|| {
-            eprintln!("unknown profile '{n}', expected quick|medium|paper");
-            std::process::exit(2);
-        }),
+
+    /// `None` when `name` was not given, `Some(None)` when it was given
+    /// without a value.
+    pub fn get(&self, name: &str) -> Option<Option<&str>> {
+        debug_assert!(
+            FLAGS.iter().any(|(flag, _)| *flag == name),
+            "{name} is not in FLAGS"
+        );
+        self.0.get(name).map(Option::as_deref)
+    }
+
+    /// The profile `--profile` names, else `THYMESIM_PROFILE`; default
+    /// `medium`.
+    pub fn profile(&self) -> Result<Profile, String> {
+        let name = match self.get("--profile").flatten() {
+            Some(name) => Some(name.to_string()),
+            None => std::env::var("THYMESIM_PROFILE").ok(),
+        };
+        match name {
+            None => Ok(Profile::medium()),
+            Some(n) => Profile::by_name(&n)
+                .ok_or_else(|| format!("unknown profile '{n}', expected quick|medium|paper")),
+        }
     }
 }
 
@@ -374,9 +441,12 @@ mod tests {
 
     #[test]
     fn arg_parsing_picks_profile() {
-        let p = profile_from_args(&["fig2".into(), "--profile".into(), "quick".into()]);
-        assert_eq!(p.name, "quick");
-        let p = profile_from_args(&["--profile=paper".into()]);
-        assert_eq!(p.name, "paper");
+        let profile = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Flags::parse(&args).unwrap().profile().unwrap().name
+        };
+        assert_eq!(profile(&["--profile", "quick"]), "quick");
+        assert_eq!(profile(&["--profile=paper"]), "paper");
+        assert_eq!(profile(&["--profile=paper", "--profile", "quick"]), "quick");
     }
 }

@@ -16,7 +16,7 @@ use thymesim_sim::{Dur, Histogram, Time};
 
 /// Process-wide count of timed memory accesses, flushed once per
 /// [`MemSystem`] lifetime (on drop) so the hot path never touches it.
-/// `repro --bench-json` reads this to report simulator events/sec.
+/// `benchmark/` reads this for its `accesses_per_s` metric.
 static TIMED_ACCESSES: AtomicU64 = AtomicU64::new(0);
 
 /// Total timed accesses completed by all dropped `MemSystem`s so far.
