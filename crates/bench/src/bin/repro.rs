@@ -235,15 +235,15 @@ fn print_list() {
 /// `*.trace.json` timelines stop early, and otherwise only a `dropped`
 /// field inside `telemetry.json` shows it.
 fn note_dropped_events() {
-    let Some(cfg) = thymesim_telemetry::config() else {
-        return;
-    };
     for s in thymesim_telemetry::summaries() {
         if s.dropped > 0 {
             eprintln!(
                 "# note: {}: kept {}, dropped {} timeline events (cap {} per point; \
                  histograms, counters and blame are uncapped)",
-                s.sweep, s.events, s.dropped, cfg.max_events_per_point
+                s.sweep,
+                s.events,
+                s.dropped,
+                thymesim_telemetry::counters::DEFAULT_MAX_EVENTS_PER_POINT
             );
         }
     }

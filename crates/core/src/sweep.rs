@@ -157,11 +157,6 @@ where
     // recorder state, not a global), so per-phase attribution inherits
     // the same invariance for free.
     let tracing = thymesim_telemetry::sweep_traced(name);
-    let max_events = thymesim_telemetry::config().map_or(0, |c| c.max_events_per_point);
-    let window_ps = thymesim_telemetry::config()
-        .map_or(thymesim_telemetry::counters::DEFAULT_WINDOW_PS, |c| {
-            c.counter_window_ps
-        });
     let pairs = ordered_map(&keyed, opts.jobs, |index, (config, key)| {
         let mut mix = SplitMix64::new(*key);
         let ctx = SweepCtx {
@@ -179,8 +174,9 @@ where
             }
         }
         if tracing {
-            thymesim_telemetry::install(thymesim_telemetry::TraceRecorder::with_window(
-                index, max_events, window_ps,
+            thymesim_telemetry::install(thymesim_telemetry::TraceRecorder::new(
+                index,
+                thymesim_telemetry::counters::DEFAULT_MAX_EVENTS_PER_POINT,
             ));
         }
         let result = f(ctx, &points[index]);

@@ -69,9 +69,11 @@ pub trait Scalar: Copy {
 
 impl Scalar for u8 {
     const BYTES: u64 = 1;
+    #[inline]
     fn load(b: &Backing, a: Addr) -> u8 {
         b.read_u8(a)
     }
+    #[inline]
     fn store(b: &mut Backing, a: Addr, v: u8) {
         b.write_u8(a, v);
     }
@@ -79,9 +81,11 @@ impl Scalar for u8 {
 
 impl Scalar for u32 {
     const BYTES: u64 = 4;
+    #[inline]
     fn load(b: &Backing, a: Addr) -> u32 {
         b.read_u32(a)
     }
+    #[inline]
     fn store(b: &mut Backing, a: Addr, v: u32) {
         b.write_u32(a, v);
     }
@@ -89,9 +93,11 @@ impl Scalar for u32 {
 
 impl Scalar for u64 {
     const BYTES: u64 = 8;
+    #[inline]
     fn load(b: &Backing, a: Addr) -> u64 {
         b.read_u64(a)
     }
+    #[inline]
     fn store(b: &mut Backing, a: Addr, v: u64) {
         b.write_u64(a, v);
     }
@@ -99,9 +105,11 @@ impl Scalar for u64 {
 
 impl Scalar for f64 {
     const BYTES: u64 = 8;
+    #[inline]
     fn load(b: &Backing, a: Addr) -> f64 {
         b.read_f64(a)
     }
+    #[inline]
     fn store(b: &mut Backing, a: Addr, v: f64) {
         b.write_f64(a, v);
     }

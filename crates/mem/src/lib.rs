@@ -24,8 +24,9 @@
 //!     SysTiming::default(),
 //!     NoRemote, // no disaggregated memory on this node
 //! );
-//! let t1 = sys.write_u64(Time::ZERO, Addr(0x1000), 42);
-//! let (v, t2) = sys.read_u64(t1, Addr(0x1000));
+//! let xs: SimVec<u64> = Arena::new(Addr(0x1000), 1 << 16).alloc_vec(8);
+//! let t1 = xs.set(&mut sys, Time::ZERO, 3, 42);
+//! let (v, t2) = xs.get(&mut sys, t1, 3);
 //! assert_eq!(v, 42);
 //! assert!(t2 > t1); // even an LLC hit takes time
 //! ```

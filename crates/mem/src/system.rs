@@ -4,8 +4,8 @@
 //! Every workload access flows through [`MemSystem::access`]: an LLC
 //! lookup, then on a miss either the local DRAM channel or the remote
 //! fabric, with dirty victims written back to wherever they live. Data and
-//! timing travel together — the typed accessors return both the value and
-//! the completion time.
+//! timing travel together — the typed accessors ([`crate::SimVec::get`] /
+//! [`crate::SimVec::set`]) return both the value and the completion time.
 
 use crate::addr::{Addr, AddressMap, Region};
 use crate::backing::Backing;
@@ -287,41 +287,6 @@ impl<R: RemoteBackend> MemSystem<R> {
         self.cache
             .touch_rounds(touches.iter().map(|&(t, w)| (t.set, t.way, w)), rounds);
     }
-
-    // -- typed, timed data accessors -------------------------------------
-
-    pub fn read_u64(&mut self, at: Time, a: Addr) -> (u64, Time) {
-        let t = self.access(at, a, false);
-        (self.backing.read_u64(a), t)
-    }
-
-    pub fn write_u64(&mut self, at: Time, a: Addr, v: u64) -> Time {
-        let t = self.access(at, a, true);
-        self.backing.write_u64(a, v);
-        t
-    }
-
-    pub fn read_u32(&mut self, at: Time, a: Addr) -> (u32, Time) {
-        let t = self.access(at, a, false);
-        (self.backing.read_u32(a), t)
-    }
-
-    pub fn write_u32(&mut self, at: Time, a: Addr, v: u32) -> Time {
-        let t = self.access(at, a, true);
-        self.backing.write_u32(a, v);
-        t
-    }
-
-    pub fn read_f64(&mut self, at: Time, a: Addr) -> (f64, Time) {
-        let t = self.access(at, a, false);
-        (self.backing.read_f64(a), t)
-    }
-
-    pub fn write_f64(&mut self, at: Time, a: Addr, v: f64) -> Time {
-        let t = self.access(at, a, true);
-        self.backing.write_f64(a, v);
-        t
-    }
 }
 
 impl<R> Drop for MemSystem<R> {
@@ -423,12 +388,13 @@ mod tests {
     }
 
     #[test]
-    fn typed_accessors_return_data_and_time() {
+    fn data_round_trips_and_rereads_hit() {
         let mut s = sys(1200);
         let a = s.map.remote_base_addr();
-        let t1 = s.write_f64(Time::ZERO, a, 2.5);
-        let (v, t2) = s.read_f64(t1, a);
-        assert_eq!(v, 2.5);
+        let t1 = s.access(Time::ZERO, a, true);
+        s.backing_mut().write_f64(a, 2.5);
+        let t2 = s.access(t1, a, false);
+        assert_eq!(s.backing().read_f64(a), 2.5);
         assert_eq!(t2, t1 + Dur::ns(4), "second access must hit");
     }
 
@@ -436,9 +402,9 @@ mod tests {
     fn same_line_scalars_share_one_miss() {
         let mut s = sys(1200);
         let a = s.map.remote_base_addr();
-        s.read_u64(Time::ZERO, a);
-        s.read_u64(Time::ZERO, a.offset(8));
-        s.read_u64(Time::ZERO, a.offset(120));
+        s.access(Time::ZERO, a, false);
+        s.access(Time::ZERO, a.offset(8), false);
+        s.access(Time::ZERO, a.offset(120), false);
         assert_eq!(s.stats.remote_miss, 1, "one line, one miss");
         assert_eq!(s.cache_stats().hits, 2);
     }

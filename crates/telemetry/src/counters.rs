@@ -27,7 +27,7 @@
 //! per counter, the time-weighted mean over the point's horizon (the
 //! last covered window's end; uncovered time counts as idle/zero), the
 //! peak window value, and saturation metrics — total virtual time in
-//! windows whose value exceeds the configured threshold, and the
+//! windows whose value exceeds the given threshold, and the
 //! longest run of consecutive saturated windows. All time quantities
 //! are exact picosecond integers.
 
@@ -35,6 +35,11 @@ use serde::Value;
 
 /// Default window width: 10 µs of virtual time.
 pub const DEFAULT_WINDOW_PS: u64 = 10_000_000;
+
+/// Default per-point cap on buffered timeline events (histograms,
+/// counters and blame are never capped; overflow is counted as
+/// `dropped`).
+pub const DEFAULT_MAX_EVENTS_PER_POINT: usize = 20_000;
 
 /// Default saturation threshold: a window counts as saturated when its
 /// value exceeds this fraction (busy/ratio tracks) or this fraction of
@@ -104,7 +109,7 @@ impl CounterTrack {
     }
 
     /// The threshold a window value is compared against for saturation:
-    /// the configured fraction, scaled by the bound for bounded levels.
+    /// the given fraction, scaled by the bound for bounded levels.
     /// Unbounded level tracks never saturate (their values are open-ended).
     fn saturation_cut(&self, threshold: f64) -> Option<f64> {
         match (self.kind, self.bound) {

@@ -69,9 +69,6 @@ pub struct TraceConfig {
     /// `telemetry.json`. Kept separate from `results/` so result trees
     /// stay byte-identical with tracing on.
     pub dir: PathBuf,
-    /// Per-point cap on buffered timeline events (histograms and totals
-    /// are never capped; overflow is counted as `dropped`).
-    pub max_events_per_point: usize,
     /// Write per-sweep artifact files (`<sweep>.trace.json`,
     /// `<sweep>.collapsed`, `telemetry.json`, `attribution.json`,
     /// `utilization.json`)? `false` runs the recorders and accumulates
@@ -79,12 +76,6 @@ pub struct TraceConfig {
     /// baseline record/check mode uses this to gate stage and counter
     /// means without touching the filesystem.
     pub artifacts: bool,
-    /// Width of the fixed virtual-time windows counter gauges fold onto,
-    /// in picoseconds.
-    pub counter_window_ps: u64,
-    /// A counter window is saturated when its value exceeds this
-    /// fraction (of the bound, for bounded level counters).
-    pub saturation_threshold: f64,
 }
 
 impl Default for TraceConfig {
@@ -92,10 +83,7 @@ impl Default for TraceConfig {
         TraceConfig {
             filter: None,
             dir: PathBuf::from("traces"),
-            max_events_per_point: 20_000,
             artifacts: true,
-            counter_window_ps: counters::DEFAULT_WINDOW_PS,
-            saturation_threshold: counters::DEFAULT_SATURATION_THRESHOLD,
         }
     }
 }
@@ -379,16 +367,19 @@ pub fn export_sweep(
             name,
             points,
             traces,
-            cfg.counter_window_ps,
-            cfg.saturation_threshold,
+            counters::DEFAULT_WINDOW_PS,
+            counters::DEFAULT_SATURATION_THRESHOLD,
         ),
         blame: SweepBlame::fold(name, points, traces),
     };
     let path = cfg.dir.join(format!("{}.trace.json", flat_name(name)));
     if cfg.artifacts {
         std::fs::create_dir_all(&cfg.dir).expect("trace directory must be creatable");
-        std::fs::write(&path, chrome::render(name, traces, cfg.counter_window_ps))
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        std::fs::write(
+            &path,
+            chrome::render(name, traces, counters::DEFAULT_WINDOW_PS),
+        )
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         let collapsed = cfg.dir.join(format!("{}.collapsed", flat_name(name)));
         std::fs::write(&collapsed, folds.attribution.collapsed())
             .unwrap_or_else(|e| panic!("write {}: {e}", collapsed.display()));

@@ -215,7 +215,7 @@ impl TraceRecorder {
     }
 
     /// Like [`TraceRecorder::new`], with an explicit counter-window
-    /// width in picoseconds (the sweep harness passes the configured one).
+    /// width in picoseconds.
     pub fn with_window(index: usize, max_events: usize, window_ps: u64) -> TraceRecorder {
         TraceRecorder {
             index,

@@ -11,7 +11,7 @@
 //! scores agree to ~bitwise; the 1e-9 acceptance band is slack.
 
 use crate::graph500::{CsrGraph, INF};
-use crate::issue::IssueRing;
+use crate::issue::Core;
 use thymesim_mem::{Arena, MemSystem, RemoteBackend, SimVec};
 use thymesim_sim::{Dur, Time};
 
@@ -74,9 +74,7 @@ pub fn bc<R: RemoteBackend>(
         score.set_raw(sys, v, 0.0);
     }
 
-    let mut ring = IssueRing::new(cfg.mlp);
-    ring.reset(start);
-    let mut cpu = start;
+    let mut core = Core::new(cfg.mlp, start);
     let mut edges_traversed = 0u64;
 
     for &s in sources {
@@ -102,49 +100,32 @@ pub fn bc<R: RemoteBackend>(
             let d = (levels.len() - 1) as u32;
             let mut next: Vec<u32> = Vec::new();
             for &v in &frontier {
-                let at = ring.issue_at(cpu);
-                let (dx, mx) = sys.access_info(at, g.xadj.addr(v as u64), false);
-                if mx {
-                    ring.push(dx);
-                }
+                let at = core.slot();
+                core.load(sys, at, g.xadj.addr(v as u64), false);
                 let (lo, hi) = g.row_bounds_raw(sys, v as u64);
-                let (ds, ms) = sys.access_info(at, state.sigma.addr(v as u64), false);
-                if ms {
-                    ring.push(ds);
-                }
+                core.load(sys, at, state.sigma.addr(v as u64), false);
                 let sv = state.sigma.get_raw(sys, v as u64);
-                cpu = cpu.max2(at) + cfg.cpu_per_edge;
+                core.retire(at, cfg.cpu_per_edge);
                 for e in lo..hi {
                     edges_traversed += 1;
-                    let at = ring.issue_at(cpu);
-                    let (w, d1, m1) = g.adj_probe(sys, at, v as u64, e);
-                    if m1 {
-                        ring.push(d1);
-                    }
-                    let (d2, m2) = sys.access_info(at, state.depth.addr(w as u64), false);
-                    if m2 {
-                        ring.push(d2);
-                    }
+                    let at = core.slot();
+                    let (w, wa) = g.adj(sys, v as u64, e);
+                    core.load(sys, at, wa, false);
+                    core.load(sys, at, state.depth.addr(w as u64), false);
                     let dw = state.depth.get_raw(sys, w as u64);
                     if dw == INF {
                         // Discover: write depth, seed sigma.
-                        let (d3, m3) = sys.access_info(at, state.depth.addr(w as u64), true);
-                        if m3 {
-                            ring.push(d3);
-                        }
+                        core.load(sys, at, state.depth.addr(w as u64), true);
                         state.depth.set_raw(sys, w as u64, d + 1);
                         state.sigma.set_raw(sys, w as u64, sv);
                         next.push(w);
                     } else if dw == d + 1 {
                         // Another shortest path: sigma[w] += sigma[v].
-                        let (d3, m3) = sys.access_info(at, state.sigma.addr(w as u64), true);
-                        if m3 {
-                            ring.push(d3);
-                        }
+                        core.load(sys, at, state.sigma.addr(w as u64), true);
                         let sw = state.sigma.get_raw(sys, w as u64);
                         state.sigma.set_raw(sys, w as u64, sw + sv);
                     }
-                    cpu = cpu.max2(at) + cfg.cpu_per_edge;
+                    core.retire(at, cfg.cpu_per_edge);
                 }
             }
             levels.push(next);
@@ -154,50 +135,36 @@ pub fn bc<R: RemoteBackend>(
         thymesim_telemetry::phase_begin("bc.backward", None);
         for frontier in levels.iter().rev() {
             for &v in frontier {
-                let at = ring.issue_at(cpu);
-                let (dx, mx) = sys.access_info(at, g.xadj.addr(v as u64), false);
-                if mx {
-                    ring.push(dx);
-                }
+                let at = core.slot();
+                core.load(sys, at, g.xadj.addr(v as u64), false);
                 let (lo, hi) = g.row_bounds_raw(sys, v as u64);
                 let dv = state.depth.get_raw(sys, v as u64);
                 let sv = state.sigma.get_raw(sys, v as u64);
-                cpu = cpu.max2(at) + cfg.cpu_per_edge;
+                core.retire(at, cfg.cpu_per_edge);
                 let mut acc = 0.0f64;
                 for e in lo..hi {
                     edges_traversed += 1;
-                    let at = ring.issue_at(cpu);
-                    let (w, d1, m1) = g.adj_probe(sys, at, v as u64, e);
-                    if m1 {
-                        ring.push(d1);
-                    }
-                    let (d2, m2) = sys.access_info(at, state.delta.addr(w as u64), false);
-                    if m2 {
-                        ring.push(d2);
-                    }
+                    let at = core.slot();
+                    let (w, wa) = g.adj(sys, v as u64, e);
+                    core.load(sys, at, wa, false);
+                    core.load(sys, at, state.delta.addr(w as u64), false);
                     if state.depth.get_raw(sys, w as u64) == dv.wrapping_add(1) {
                         let sw = state.sigma.get_raw(sys, w as u64);
                         let dw = state.delta.get_raw(sys, w as u64);
                         acc += sv / sw * (1.0 + dw);
                     }
-                    cpu = cpu.max2(at) + cfg.cpu_per_edge;
+                    core.retire(at, cfg.cpu_per_edge);
                 }
-                let at = ring.issue_at(cpu);
-                let (d3, m3) = sys.access_info(at, state.delta.addr(v as u64), true);
-                if m3 {
-                    ring.push(d3);
-                }
+                let at = core.slot();
+                core.load(sys, at, state.delta.addr(v as u64), true);
                 state.delta.set_raw(sys, v as u64, acc);
                 if v != s {
                     // score[v] += delta[v]: random read-modify-write.
-                    let (d4, m4) = sys.access_info(at, score.addr(v as u64), true);
-                    if m4 {
-                        ring.push(d4);
-                    }
+                    core.load(sys, at, score.addr(v as u64), true);
                     let old = score.get_raw(sys, v as u64);
                     score.set_raw(sys, v as u64, old + acc);
                 }
-                cpu = cpu.max2(at) + cfg.cpu_per_edge;
+                core.retire(at, cfg.cpu_per_edge);
             }
         }
     }
@@ -205,7 +172,7 @@ pub fn bc<R: RemoteBackend>(
         thymesim_telemetry::phase_end();
     }
 
-    let end = ring.horizon().max2(cpu);
+    let end = core.end();
     thymesim_telemetry::span_arg(
         "workload",
         "bc",

@@ -14,7 +14,7 @@
 //! exactly, label by label.
 
 use crate::graph500::CsrGraph;
-use crate::issue::IssueRing;
+use crate::issue::Core;
 use thymesim_mem::{MemSystem, RemoteBackend, SimVec};
 use thymesim_sim::{Dur, Time};
 
@@ -67,9 +67,7 @@ pub fn cc<R: RemoteBackend>(
         labels.set_raw(sys, v, v as u32);
     }
 
-    let mut ring = IssueRing::new(cfg.mlp);
-    ring.reset(start);
-    let mut cpu = start;
+    let mut core = Core::new(cfg.mlp, start);
     let mut iterations = 0u32;
     let mut converged = false;
     let mut edges_examined = 0u64;
@@ -79,50 +77,33 @@ pub fn cc<R: RemoteBackend>(
         iterations = iter + 1;
         let mut writes = 0u64;
         for v in 0..g.n {
-            let at = ring.issue_at(cpu);
+            let at = core.slot();
             // Own label: sequential read.
-            let (d, m) = sys.access_info(at, labels.addr(v), false);
-            if m {
-                ring.push(d);
-            }
+            core.load(sys, at, labels.addr(v), false);
             let mut lv = labels.get_raw(sys, v);
             // Row bounds ride the same issue slot (xadj is sequential).
-            let (dx, mx) = sys.access_info(at, g.xadj.addr(v), false);
-            if mx {
-                ring.push(dx);
-            }
+            core.load(sys, at, g.xadj.addr(v), false);
             let (lo, hi) = g.row_bounds_raw(sys, v);
-            cpu = cpu.max2(at) + cfg.cpu_per_edge;
+            core.retire(at, cfg.cpu_per_edge);
             let before = lv;
             for e in lo..hi {
                 edges_examined += 1;
-                let at = ring.issue_at(cpu);
+                let at = core.slot();
                 // Neighbour id (sequential through the seam) then its
                 // label (random gather).
-                let (w, d1, m1) = g.adj_probe(sys, at, v, e);
-                if m1 {
-                    ring.push(d1);
-                }
-                let (d2, m2) = sys.access_info(at, labels.addr(w as u64), false);
-                if m2 {
-                    ring.push(d2);
-                }
-                let lw = labels.get_raw(sys, w as u64);
-                if lw < lv {
-                    lv = lw;
-                }
-                cpu = cpu.max2(at) + cfg.cpu_per_edge;
+                let (w, wa) = g.adj(sys, v, e);
+                core.load(sys, at, wa, false);
+                core.load(sys, at, labels.addr(w as u64), false);
+                lv = lv.min(labels.get_raw(sys, w as u64));
+                core.retire(at, cfg.cpu_per_edge);
             }
             if lv < before {
                 // Improved: random scatter write of the new label.
-                let at = ring.issue_at(cpu);
-                let (d, m) = sys.access_info(at, labels.addr(v), true);
-                if m {
-                    ring.push(d);
-                }
+                let at = core.slot();
+                core.load(sys, at, labels.addr(v), true);
                 labels.set_raw(sys, v, lv);
                 writes += 1;
-                cpu = cpu.max2(at) + cfg.cpu_per_edge;
+                core.retire(at, cfg.cpu_per_edge);
             }
         }
         if writes == 0 {
@@ -132,7 +113,7 @@ pub fn cc<R: RemoteBackend>(
     }
     thymesim_telemetry::phase_end();
 
-    let end = ring.horizon().max2(cpu);
+    let end = core.end();
     thymesim_telemetry::span_arg("workload", "cc", start, end, "iters", iterations as u64);
     let mut components = 0u64;
     for v in 0..g.n {
@@ -165,7 +146,7 @@ pub fn reference_components<R: RemoteBackend>(sys: &MemSystem<R>, g: &CsrGraph) 
     for v in 0..g.n {
         let (lo, hi) = g.row_bounds_raw(sys, v);
         for e in lo..hi {
-            let w = g.adj_raw(sys, v, e) as u64;
+            let w = g.adj(sys, v, e).0 as u64;
             let (a, b) = (find(&mut parent, v as u32), find(&mut parent, w as u32));
             if a != b {
                 // Union by min id keeps roots canonical as we go.

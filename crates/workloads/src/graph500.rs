@@ -13,9 +13,9 @@
 //!
 //! ## The CSR accessor seam
 //!
-//! All kernels reach adjacency through [`CsrGraph::adj_get`] /
-//! [`CsrGraph::adj_probe`] / [`CsrGraph::adj_raw`] instead of indexing a
-//! raw array, which lets two storage layouts coexist behind one type:
+//! All kernels reach adjacency through [`CsrGraph::adj`] instead of
+//! indexing a raw array. It hands out a neighbour and the address to
+//! time it at, which lets two storage layouts coexist behind one type:
 //!
 //! * **Flat** — one `u32` per directed edge, the classic CSR.
 //! * **Compressed** — per-row delta-encoded LEB128 varints (byte-aligned
@@ -32,9 +32,9 @@
 //! better line locality, which is the point of compression on real
 //! disaggregated hardware.
 
-use crate::issue::IssueRing;
+use crate::issue::Core;
 use std::cell::RefCell;
-use thymesim_mem::{Arena, MemSystem, RemoteBackend, SimVec};
+use thymesim_mem::{Addr, Arena, MemSystem, RemoteBackend, SimVec};
 use thymesim_sim::{Dur, Time, Xoshiro256};
 
 /// Kronecker initiator probabilities from the Graph500 specification.
@@ -181,17 +181,6 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    pub fn layout(&self) -> CsrLayout {
-        match self.adj {
-            AdjStorage::Flat { .. } => CsrLayout::Flat,
-            AdjStorage::Compressed { .. } => CsrLayout::Compressed,
-        }
-    }
-
-    pub fn has_weights(&self) -> bool {
-        self.weights.is_some()
-    }
-
     /// Simulated bytes occupied by the adjacency structure (excluding
     /// `xadj`, which both layouts share): the compression headline.
     pub fn adjacency_bytes(&self) -> u64 {
@@ -238,63 +227,18 @@ impl CsrGraph {
         c.lo = lo;
     }
 
-    /// Timed read of directed edge `e` (which must lie in row `v`),
-    /// returning `(neighbour, completion)`. Exactly one timed access in
-    /// either layout.
-    pub fn adj_get<R: RemoteBackend>(
-        &self,
-        sys: &mut MemSystem<R>,
-        at: Time,
-        v: u64,
-        e: u64,
-    ) -> (u32, Time) {
+    /// Directed edge `e` (which must lie in row `v`): the neighbour and
+    /// the address a timed read of it lands on — the entry itself when
+    /// flat, its first encoded byte when compressed. Untimed: the caller
+    /// issues the access (or not, for references and validation).
+    pub fn adj<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64, e: u64) -> (u32, Addr) {
         match &self.adj {
-            AdjStorage::Flat { adj } => adj.get(sys, at, e),
+            AdjStorage::Flat { adj } => (adj.get_raw(sys, e), adj.addr(e)),
             AdjStorage::Compressed { bytes, .. } => {
                 self.ensure_row(sys, v);
                 let c = self.cache.borrow();
                 let idx = (e - c.lo) as usize;
-                let t = sys.access(at, bytes.addr(c.offs[idx]), false);
-                (c.vals[idx], t)
-            }
-        }
-    }
-
-    /// Ring-style probe of directed edge `e` in row `v`: returns
-    /// `(neighbour, completion, missed)` — the `access_info` shape the
-    /// MLP-window kernels (PageRank, CC) use, where only misses occupy an
-    /// issue slot.
-    pub fn adj_probe<R: RemoteBackend>(
-        &self,
-        sys: &mut MemSystem<R>,
-        at: Time,
-        v: u64,
-        e: u64,
-    ) -> (u32, Time, bool) {
-        match &self.adj {
-            AdjStorage::Flat { adj } => {
-                let (done, missed) = sys.access_info(at, adj.addr(e), false);
-                (adj.get_raw(sys, e), done, missed)
-            }
-            AdjStorage::Compressed { bytes, .. } => {
-                self.ensure_row(sys, v);
-                let c = self.cache.borrow();
-                let idx = (e - c.lo) as usize;
-                let (done, missed) = sys.access_info(at, bytes.addr(c.offs[idx]), false);
-                (c.vals[idx], done, missed)
-            }
-        }
-    }
-
-    /// Untimed read of directed edge `e` in row `v` (references,
-    /// validation, bookkeeping).
-    pub fn adj_raw<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64, e: u64) -> u32 {
-        match &self.adj {
-            AdjStorage::Flat { adj } => adj.get_raw(sys, e),
-            AdjStorage::Compressed { .. } => {
-                self.ensure_row(sys, v);
-                let c = self.cache.borrow();
-                c.vals[(e - c.lo) as usize]
+                (c.vals[idx], bytes.addr(c.offs[idx]))
             }
         }
     }
@@ -317,26 +261,15 @@ impl CsrGraph {
         }
     }
 
-    /// Timed weight read for directed edge `e`. Panics on weightless
-    /// (compressed) graphs — SSSP requires a flat weighted build.
-    pub fn weight_get<R: RemoteBackend>(
-        &self,
-        sys: &mut MemSystem<R>,
-        at: Time,
-        e: u64,
-    ) -> (u32, Time) {
-        self.require_weights().get(sys, at, e)
-    }
-
-    /// Untimed weight read for directed edge `e`.
-    pub fn weight_raw<R: RemoteBackend>(&self, sys: &MemSystem<R>, e: u64) -> u32 {
-        self.require_weights().get_raw(sys, e)
-    }
-
-    fn require_weights(&self) -> &SimVec<u32> {
-        self.weights
+    /// Weight of directed edge `e` and its address, untimed like
+    /// [`CsrGraph::adj`]. Panics on weightless (compressed) graphs —
+    /// SSSP requires a flat weighted build.
+    pub fn weight<R: RemoteBackend>(&self, sys: &MemSystem<R>, e: u64) -> (u32, Addr) {
+        let w = self
+            .weights
             .as_ref()
-            .expect("graph built without weights (compressed layout); SSSP needs a flat build")
+            .expect("graph built without weights (compressed layout); SSSP needs a flat build");
+        (w.get_raw(sys, e), w.addr(e))
     }
 }
 
@@ -768,48 +701,45 @@ impl Graph500Report {
 }
 
 /// The gang of logical cores traversing a frontier in lockstep levels.
-pub(crate) struct Gang {
-    rings: Vec<IssueRing>,
-    times: Vec<Time>,
+struct Gang {
+    cores: Vec<Core>,
     cpu_per_edge: Dur,
 }
 
 impl Gang {
-    pub(crate) fn new(cfg: &Graph500Config, start: Time, cpu_per_edge: Dur) -> Gang {
+    fn new(cfg: &Graph500Config, start: Time, cpu_per_edge: Dur) -> Gang {
         Gang {
-            rings: (0..cfg.cores)
-                .map(|_| IssueRing::new(cfg.mlp_per_core))
+            cores: (0..cfg.cores)
+                .map(|_| Core::new(cfg.mlp_per_core, start))
                 .collect(),
-            times: vec![start; cfg.cores as usize],
             cpu_per_edge,
         }
     }
 
-    /// Perform one timed access on core `c`, returning its completion.
+    /// One timed access on core `c`. Graph500's rule: every access, hit
+    /// or miss, holds a slot of the core's window until it completes.
     #[inline]
-    pub(crate) fn access<R: RemoteBackend, F>(
+    fn access<R: RemoteBackend>(
         &mut self,
         c: usize,
         sys: &mut MemSystem<R>,
-        op: F,
-    ) -> Time
-    where
-        F: FnOnce(&mut MemSystem<R>, Time) -> Time,
-    {
-        let at = self.rings[c].issue_at(self.times[c]);
-        let done = op(sys, at);
-        self.rings[c].push(done);
-        self.times[c] = at + self.cpu_per_edge;
-        done
+        addr: Addr,
+        write: bool,
+    ) {
+        let core = &mut self.cores[c];
+        let at = core.slot();
+        core.hold(sys.access(at, addr, write));
+        core.retire(at, self.cpu_per_edge);
     }
 
     /// The least-loaded core — work-stealing-style balance, essential
     /// because Kronecker degrees are heavy-tailed (a hub vertex would
     /// serialize a whole level under round-robin assignment).
-    pub(crate) fn pick_core(&self) -> usize {
+    fn pick_core(&self) -> usize {
         let mut best = 0;
-        let mut best_t = self.times[0];
-        for (c, &t) in self.times.iter().enumerate().skip(1) {
+        let mut best_t = self.cores[0].now();
+        for (c, core) in self.cores.iter().enumerate().skip(1) {
+            let t = core.now();
             if t < best_t {
                 best_t = t;
                 best = c;
@@ -819,14 +749,10 @@ impl Gang {
     }
 
     /// Level barrier: all cores synchronize to the slowest.
-    pub(crate) fn barrier(&mut self) -> Time {
-        let mut t = Time::ZERO;
-        for (r, ct) in self.rings.iter().zip(&self.times) {
-            t = t.max2(r.horizon()).max2(*ct);
-        }
-        for (r, ct) in self.rings.iter_mut().zip(self.times.iter_mut()) {
-            r.reset(t);
-            *ct = t;
+    fn barrier(&mut self) -> Time {
+        let t = self.cores.iter().fold(Time::ZERO, |t, c| t.max2(c.end()));
+        for c in &mut self.cores {
+            c.reset(t);
         }
         t
     }
@@ -866,39 +792,22 @@ pub fn bfs<R: RemoteBackend>(
         for &v in frontier.iter() {
             let c = gang.pick_core();
             // Row bounds: two sequential u64 reads (usually one line).
-            let mut lo = 0;
-            gang.access(c, sys, |s, at| {
-                let (x, t) = g.xadj.get(s, at, v as u64);
-                lo = x;
-                t
-            });
-            let mut hi = 0;
-            gang.access(c, sys, |s, at| {
-                let (x, t) = g.xadj.get(s, at, v as u64 + 1);
-                hi = x;
-                t
-            });
+            gang.access(c, sys, g.xadj.addr(v as u64), false);
+            gang.access(c, sys, g.xadj.addr(v as u64 + 1), false);
+            let (lo, hi) = g.row_bounds_raw(sys, v as u64);
             let mut chunk_lo = lo;
             while chunk_lo < hi {
                 let chunk_hi = (chunk_lo + EDGE_CHUNK).min(hi);
                 let c = gang.pick_core();
                 for e in chunk_lo..chunk_hi {
                     edges_traversed += 1;
-                    let mut w = 0u32;
-                    gang.access(c, sys, |s, at| {
-                        let (x, t) = g.adj_get(s, at, v as u64, e);
-                        w = x;
-                        t
-                    });
+                    let (w, wa) = g.adj(sys, v as u64, e);
+                    gang.access(c, sys, wa, false);
                     // Check-and-claim the neighbour (read + cond. write).
-                    let mut pw = 0u32;
-                    gang.access(c, sys, |s, at| {
-                        let (x, t) = parent.get(s, at, w as u64);
-                        pw = x;
-                        t
-                    });
-                    if pw == NO_PARENT {
-                        gang.access(c, sys, |s, at| parent.set(s, at, w as u64, v));
+                    gang.access(c, sys, parent.addr(w as u64), false);
+                    if parent.get_raw(sys, w as u64) == NO_PARENT {
+                        gang.access(c, sys, parent.addr(w as u64), true);
+                        parent.set_raw(sys, w as u64, v);
                         reached += 1;
                         next.push(w);
                     }
@@ -916,14 +825,6 @@ pub fn bfs<R: RemoteBackend>(
             "frontier",
             frontier.len() as u64,
         );
-        if std::env::var("THYMESIM_BFS_TRACE").is_ok() {
-            eprintln!(
-                "level: frontier {} took {} (cum {})",
-                frontier.len(),
-                end - lvl_start,
-                end - start
-            );
-        }
         frontier = next;
         level += 1;
     }
@@ -971,9 +872,9 @@ pub fn sssp<R: RemoteBackend>(
             }
             let c = gang.pick_core();
             // Timed read of the settled distance and the row bounds.
-            gang.access(c, sys, |s, at| dist.get(s, at, v as u64).1);
+            gang.access(c, sys, dist.addr(v as u64), false);
+            gang.access(c, sys, g.xadj.addr(v as u64), false);
             let (lo, hi) = g.row_bounds_raw(sys, v as u64);
-            gang.access(c, sys, |s, at| g.xadj.get(s, at, v as u64).1);
             const EDGE_CHUNK: u64 = 32;
             let mut chunk_lo = lo;
             while chunk_lo < hi {
@@ -981,27 +882,15 @@ pub fn sssp<R: RemoteBackend>(
                 let c = gang.pick_core();
                 for e in chunk_lo..chunk_hi {
                     edges_traversed += 1;
-                    let mut w = 0u32;
-                    gang.access(c, sys, |s, at| {
-                        let (x, t) = g.adj_get(s, at, v as u64, e);
-                        w = x;
-                        t
-                    });
-                    let mut wt = 0u32;
-                    gang.access(c, sys, |s, at| {
-                        let (x, t) = g.weight_get(s, at, e);
-                        wt = x;
-                        t
-                    });
+                    let (w, wa) = g.adj(sys, v as u64, e);
+                    gang.access(c, sys, wa, false);
+                    let (wt, wta) = g.weight(sys, e);
+                    gang.access(c, sys, wta, false);
                     let nd = dv.saturating_add(wt);
-                    let mut dw = 0u32;
-                    gang.access(c, sys, |s, at| {
-                        let (x, t) = dist.get(s, at, w as u64);
-                        dw = x;
-                        t
-                    });
-                    if nd < dw {
-                        gang.access(c, sys, |s, at| dist.set(s, at, w as u64, nd));
+                    gang.access(c, sys, dist.addr(w as u64), false);
+                    if nd < dist.get_raw(sys, w as u64) {
+                        gang.access(c, sys, dist.addr(w as u64), true);
+                        dist.set_raw(sys, w as u64, nd);
                         let nk = (nd / delta) as usize;
                         if nk >= buckets.len() {
                             buckets.resize(nk + 1, Vec::new());
@@ -1038,7 +927,7 @@ pub fn reference_levels<R: RemoteBackend>(sys: &MemSystem<R>, g: &CsrGraph, root
         for &v in &frontier {
             let (lo, hi) = g.row_bounds_raw(sys, v as u64);
             for e in lo..hi {
-                let w = g.adj_raw(sys, v as u64, e);
+                let w = g.adj(sys, v as u64, e).0;
                 if level[w as usize] == INF {
                     level[w as usize] = d + 1;
                     next.push(w);
@@ -1093,8 +982,8 @@ pub fn reference_sssp<R: RemoteBackend>(sys: &MemSystem<R>, g: &CsrGraph, root: 
         }
         let (lo, hi) = g.row_bounds_raw(sys, v as u64);
         for e in lo..hi {
-            let w = g.adj_raw(sys, v as u64, e);
-            let wt = g.weight_raw(sys, e);
+            let w = g.adj(sys, v as u64, e).0;
+            let wt = g.weight(sys, e).0;
             let nd = d.saturating_add(wt);
             if nd < dist[w as usize] {
                 dist[w as usize] = nd;

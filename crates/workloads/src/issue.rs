@@ -1,15 +1,19 @@
-//! Issue-side bookkeeping shared by the workloads: an MSHR-style model
-//! of a core (or SMT context) that can keep `cap` cache-line fetches
-//! outstanding, plus the key-popularity sampler shared by the closed-loop
-//! memtier client and the open-loop serving engine. Streaming kernels use
-//! a large window (hardware prefetch saturates the NIC credits),
-//! pointer-chasing workloads a small one — the distinction that drives
-//! the paper's Redis-vs-Graph500 divergence.
+//! Issue-side bookkeeping shared by the workloads: `Core`, the one
+//! issue path every workload kernel times its accesses through, plus the
+//! key-popularity sampler shared by the closed-loop memtier client and
+//! the open-loop serving engine.
 //!
-//! Only *misses* occupy slots; hits retire immediately in the cache.
+//! A core (or SMT context) keeps `mlp` cache-line fetches outstanding in
+//! an MSHR-style window ([`IssueRing`]) and advances a CPU clock between
+//! issues. Streaming kernels use a large window (hardware prefetch
+//! saturates the NIC credits), pointer-chasing workloads a small one —
+//! the distinction that drives the paper's Redis-vs-Graph500 divergence.
+//! Which accesses occupy a slot is chosen per access, by calling
+//! `Core::load` or `Core::hold`.
 
 use std::collections::VecDeque;
-use thymesim_sim::{Time, Xoshiro256};
+use thymesim_mem::{Addr, MemSystem, RemoteBackend};
+use thymesim_sim::{Dur, Time, Xoshiro256};
 
 /// A sliding window of in-flight access completion times.
 #[derive(Clone, Debug)]
@@ -56,6 +60,90 @@ impl IssueRing {
     pub fn reset(&mut self, at: Time) {
         self.ring.clear();
         self.horizon = at;
+    }
+}
+
+/// One issuing core: an `mlp`-slot [`IssueRing`] plus the CPU clock.
+///
+/// A kernel step reads `at = slot()`, issues its accesses at `at`, then
+/// calls `retire(at, cost)`. Because `slot() >= now()`, that recurrence
+/// is `cpu = at + cost`, so steps that hold no slot issue exactly `cost`
+/// apart — the telescoping the STREAM line-step's closed-form replay
+/// relies on.
+#[derive(Clone, Debug)]
+pub(crate) struct Core {
+    ring: IssueRing,
+    cpu: Time,
+}
+
+impl Core {
+    pub fn new(mlp: usize, start: Time) -> Core {
+        let mut ring = IssueRing::new(mlp);
+        ring.reset(start);
+        Core { ring, cpu: start }
+    }
+
+    /// Earliest time the next access may issue: the CPU clock, or the
+    /// oldest outstanding fetch when the window is full.
+    #[inline]
+    pub fn slot(&self) -> Time {
+        self.ring.issue_at(self.cpu)
+    }
+
+    /// Timed access issued at `at`, returning its completion. Only an
+    /// LLC miss (an MSHR fetch) holds a slot; a hit retires in the
+    /// cache. Every kernel except BFS/SSSP and the KV value walk uses
+    /// this rule.
+    #[inline]
+    pub fn load<R: RemoteBackend>(
+        &mut self,
+        sys: &mut MemSystem<R>,
+        at: Time,
+        addr: Addr,
+        write: bool,
+    ) -> Time {
+        let (done, missed) = sys.access_info(at, addr, write);
+        if missed {
+            self.ring.push(done);
+        }
+        done
+    }
+
+    /// Hold a slot until `done`, hit or miss: BFS/SSSP (Graph500's
+    /// every-access rule) and the KV value walk.
+    #[inline]
+    pub fn hold(&mut self, done: Time) {
+        self.ring.push(done);
+    }
+
+    /// Retire a step issued at `at` that costs `cost` of CPU time.
+    #[inline]
+    pub fn retire(&mut self, at: Time, cost: Dur) {
+        self.cpu = self.cpu.max2(at) + cost;
+    }
+
+    /// Pure CPU work: no access, no slot.
+    #[inline]
+    pub fn compute(&mut self, cost: Dur) {
+        self.cpu += cost;
+    }
+
+    /// The CPU clock.
+    #[inline]
+    pub fn now(&self) -> Time {
+        self.cpu
+    }
+
+    /// When all work is done: the window drains or the clock stops,
+    /// whichever is later.
+    pub fn end(&self) -> Time {
+        self.ring.horizon().max2(self.cpu)
+    }
+
+    /// Forget all in-flight accesses (barrier) and restart at `t`.
+    pub fn reset(&mut self, t: Time) {
+        self.ring.reset(t);
+        self.cpu = t;
     }
 }
 
@@ -160,5 +248,23 @@ mod tests {
         r.reset(Time::us(1));
         assert_eq!(r.horizon(), Time::us(1));
         assert_eq!(r.issue_at(Time::ZERO), Time::ZERO);
+    }
+
+    #[test]
+    fn core_clock_and_window() {
+        let mut c = Core::new(1, Time::ns(10));
+        assert_eq!((c.slot(), c.end()), (Time::ns(10), Time::ns(10)));
+        c.hold(Time::ns(100));
+        // Full window: the next issue waits for the held slot.
+        let at = c.slot();
+        assert_eq!(at, Time::ns(100));
+        c.retire(at, Dur::ns(2));
+        c.compute(Dur::ns(3));
+        assert_eq!(c.now(), Time::ns(105));
+        // A late completion outlives the clock.
+        c.hold(Time::ns(500));
+        assert_eq!(c.end(), Time::ns(500));
+        c.reset(Time::us(1));
+        assert_eq!((c.slot(), c.end()), (Time::us(1), Time::us(1)));
     }
 }

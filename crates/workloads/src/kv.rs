@@ -13,7 +13,7 @@
 //!
 //! The store is real: SETs write patterned bytes, GETs verify them.
 
-use crate::issue::{IssueRing, KeySampler};
+use crate::issue::{Core, KeySampler};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use thymesim_mem::{Addr, Arena, MemSystem, RemoteBackend, SimVec};
@@ -196,16 +196,14 @@ impl KvStore {
         let vlen = sys.backing().read_u64(ea.offset(16));
         let version = sys.backing().read_u64(ea.offset(24));
         // Stream the value with a prefetch window.
-        let mut ring = IssueRing::new(mlp);
-        ring.reset(t);
+        let mut core = Core::new(mlp, t);
         let base = ea.offset(ENTRY_HEADER_BYTES);
         let mut ok = true;
         let mut off = 0;
         let mut buf = [0u8; 128];
         while off < vlen {
-            let issue = ring.issue_at(t);
-            let done = sys.access(issue, base.offset(off), false);
-            ring.push(done);
+            let at = core.slot();
+            core.hold(sys.access(at, base.offset(off), false));
             let n = (vlen - off).min(128) as usize;
             sys.backing().read_bytes(base.offset(off), &mut buf[..n]);
             for (i, &b) in buf[..n].iter().enumerate() {
@@ -215,7 +213,7 @@ impl KvStore {
             }
             off += 128;
         }
-        (ok, ring.horizon().max2(t))
+        (ok, core.end())
     }
 
     /// Timed SET: overwrites the value in place, bumping the version.
@@ -232,13 +230,11 @@ impl KvStore {
         sys.backing_mut().write_u64(ea.offset(24), version);
         let vlen = sys.backing().read_u64(ea.offset(16));
         let base = ea.offset(ENTRY_HEADER_BYTES);
-        let mut ring = IssueRing::new(mlp);
-        ring.reset(t);
+        let mut core = Core::new(mlp, t);
         let mut off = 0;
         while off < vlen {
-            let issue = ring.issue_at(t);
-            let done = sys.access(issue, base.offset(off), true);
-            ring.push(done);
+            let at = core.slot();
+            core.hold(sys.access(at, base.offset(off), true));
             let n = (vlen - off).min(128) as usize;
             let mut chunk = [0u8; 128];
             for (i, b) in chunk[..n].iter_mut().enumerate() {
@@ -247,7 +243,7 @@ impl KvStore {
             sys.backing_mut().write_bytes(base.offset(off), &chunk[..n]);
             off += 128;
         }
-        ring.horizon().max2(t)
+        core.end()
     }
 }
 

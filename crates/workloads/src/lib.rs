@@ -13,8 +13,10 @@
 //!   components, betweenness centrality, triangle counting), each with a
 //!   distinct remote-access signature and a host-memory differential
 //!   oracle;
-//! * [`issue`] — the shared issue-window model (a core's MLP), the knob
-//!   that separates prefetchable streaming from dependent pointer chasing.
+//! * [`issue`] — `Core`, the one issue path every kernel times its
+//!   accesses through: an MSHR window (a core's MLP, the knob that
+//!   separates prefetchable streaming from dependent pointer chasing)
+//!   plus the CPU clock.
 
 pub mod bc;
 pub mod cc;

@@ -8,7 +8,7 @@
 //! which is exactly why it is interesting under delay injection.
 
 use crate::graph500::CsrGraph;
-use crate::issue::IssueRing;
+use crate::issue::Core;
 use thymesim_mem::{Arena, MemSystem, RemoteBackend, SimVec};
 use thymesim_sim::{Dur, Time};
 
@@ -76,9 +76,7 @@ pub fn pagerank<R: RemoteBackend>(
         state.rank.set_raw(sys, v, init);
     }
 
-    let mut ring = IssueRing::new(cfg.mlp);
-    ring.reset(start);
-    let mut cpu = start;
+    let mut core = Core::new(cfg.mlp, start);
     let mut last_delta = 0.0;
 
     for _iter in 0..cfg.iterations {
@@ -86,54 +84,36 @@ pub fn pagerank<R: RemoteBackend>(
         thymesim_telemetry::phase_begin("pagerank.zero", None);
         let base_term = (1.0 - cfg.damping) / n as f64;
         for v in 0..n {
-            let at = ring.issue_at(cpu);
-            let (done, missed) = sys.access_info(at, state.next.addr(v), true);
-            if missed {
-                ring.push(done);
-            }
+            let at = core.slot();
+            core.load(sys, at, state.next.addr(v), true);
             state.next.set_raw(sys, v, base_term);
-            cpu = cpu.max2(at) + Dur::ps(200);
+            core.retire(at, Dur::ps(200));
         }
         // Push phase.
         thymesim_telemetry::phase_begin("pagerank.push", None);
         for v in 0..n {
-            let at = ring.issue_at(cpu);
-            let (done, missed) = sys.access_info(at, state.rank.addr(v), false);
-            if missed {
-                ring.push(done);
-            }
+            let at = core.slot();
+            core.load(sys, at, state.rank.addr(v), false);
             let rv = state.rank.get_raw(sys, v);
-            let lo = {
-                let a = g.xadj.addr(v);
-                let (d, m) = sys.access_info(at, a, false);
-                if m {
-                    ring.push(d);
-                }
-                g.xadj.get_raw(sys, v)
-            };
-            let hi = g.xadj.get_raw(sys, v + 1);
+            core.load(sys, at, g.xadj.addr(v), false);
+            let (lo, hi) = g.row_bounds_raw(sys, v);
             let deg = hi - lo;
             if deg == 0 {
-                cpu = cpu.max2(at) + cfg.cpu_per_edge;
+                core.retire(at, cfg.cpu_per_edge);
                 continue;
             }
             let share = cfg.damping * rv / deg as f64;
             for e in lo..hi {
-                let at = ring.issue_at(cpu);
+                let at = core.slot();
                 // Sequential neighbour read (through the layout seam).
-                let (w, d1, m1) = g.adj_probe(sys, at, v, e);
-                if m1 {
-                    ring.push(d1);
-                }
+                let (w, wa) = g.adj(sys, v, e);
+                core.load(sys, at, wa, false);
                 let w = w as u64;
                 // Random scatter into next[w] (read-modify-write).
-                let (d2, m2) = sys.access_info(at, state.next.addr(w), true);
-                if m2 {
-                    ring.push(d2);
-                }
+                core.load(sys, at, state.next.addr(w), true);
                 let acc = state.next.get_raw(sys, w);
                 state.next.set_raw(sys, w, acc + share);
-                cpu = cpu.max2(at) + cfg.cpu_per_edge;
+                core.retire(at, cfg.cpu_per_edge);
             }
         }
         // Swap (untimed bookkeeping) + measure delta.
@@ -148,7 +128,7 @@ pub fn pagerank<R: RemoteBackend>(
     }
     thymesim_telemetry::phase_end();
 
-    let end = ring.horizon().max2(cpu);
+    let end = core.end();
     thymesim_telemetry::span_arg(
         "workload",
         "pagerank",

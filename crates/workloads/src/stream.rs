@@ -16,7 +16,7 @@
 //! instances can contend on shared hardware in virtual-time order
 //! (the MCBN/MCLN experiments of §IV-E).
 
-use crate::issue::IssueRing;
+use crate::issue::Core;
 use thymesim_mem::{Arena, MemSystem, RemoteBackend, SimVec};
 use thymesim_sim::{Dur, Step, Time};
 
@@ -178,8 +178,7 @@ pub struct StreamProcess {
     cursor: Cursor,
     lines: u64,
     elems_per_line: u64,
-    ring: IssueRing,
-    cpu_time: Time,
+    core: Core,
     kernel_start: Time,
     /// (kernel, rep) -> elapsed
     timings: Vec<(Kernel, u32, Dur)>,
@@ -195,8 +194,7 @@ impl StreamProcess {
         StreamProcess {
             lines: cfg.elements.div_ceil(elems_per_line),
             elems_per_line,
-            ring: IssueRing::new(cfg.mlp),
-            cpu_time: start,
+            core: Core::new(cfg.mlp, start),
             kernel_start: start,
             timings: Vec::new(),
             cursor: Cursor {
@@ -226,7 +224,7 @@ impl StreamProcess {
         if self.done {
             Time::NEVER
         } else {
-            self.ring.issue_at(self.cpu_time)
+            self.core.slot()
         }
     }
 
@@ -248,7 +246,7 @@ impl StreamProcess {
         // starts the loads in parallel and the store queue launches the
         // RFO without waiting for operand values — nothing in a STREAM
         // iteration is data-dependent on memory. Only misses allocate
-        // MSHR slots in the issue ring.
+        // MSHR slots in the core's window.
         let (roles, nr): ([(SimVec<f64>, bool); 3], usize) = match kernel {
             Kernel::Copy => ([(a, false), (c, true), (c, true)], 2),
             Kernel::Scale => ([(c, false), (b, true), (b, true)], 2),
@@ -271,29 +269,28 @@ impl StreamProcess {
         let cpe = self.cfg.cpu_per_element;
         let mut j = j0;
         while j < j1 {
-            let at = self.ring.issue_at(self.cpu_time);
+            let at = self.core.slot();
             let mut group = [(thymesim_mem::LineTouch::default(), false); 3];
             for (k, &(v, write)) in roles[..nr].iter().enumerate() {
                 let (done, missed, touch) = sys.access_entry(at, v.addr(j), write);
                 if missed {
-                    self.ring.push(done);
+                    self.core.hold(done);
                 }
                 group[k] = (touch, write);
             }
             let fast = (0..nr).all(|k| sys.line_resident(roles[k].0.addr(j1 - 1), group[k].0));
             let stalls = if fast { j1 - j - 1 } else { 0 };
 
-            // The element's clock step; then the stalls, which never
-            // push the issue ring, so the recurrence `at = issue_at(cpu);
-            // cpu = at + cpe` telescopes: the first stall issues at
-            // `issue_at` of the post-miss clock and every later one
+            // The element's clock step; then the stalls, which hold no
+            // slot, so `Core`'s recurrence telescopes: the first stall
+            // issues at the post-miss `slot()` and every later one
             // exactly `cpe` after its predecessor — which is also where
             // the replayed hits sit on the telemetry timeline.
-            self.cpu_time = self.cpu_time.max2(at) + cpe;
+            self.core.retire(at, cpe);
             if stalls > 0 {
-                let at2 = self.ring.issue_at(self.cpu_time);
+                let at2 = self.core.slot();
                 sys.retouch_rounds_at(at2, cpe, &group[..nr], stalls);
-                self.cpu_time = at2 + cpe * stalls;
+                self.core.retire(at2, cpe * stalls);
             }
 
             // Data ops for the element and its stalls, as bulk runs (no
@@ -349,7 +346,7 @@ impl StreamProcess {
         if self.cursor.line == self.lines {
             self.cursor.line = 0;
             // Kernel complete: wait for the window to drain.
-            let end = self.ring.horizon().max2(self.cpu_time);
+            let end = self.core.end();
             self.timings
                 .push((kernel, self.cursor.rep, end - self.kernel_start));
             thymesim_telemetry::span_arg(
@@ -360,8 +357,7 @@ impl StreamProcess {
                 "rep",
                 self.cursor.rep as u64,
             );
-            self.cpu_time = end;
-            self.ring.reset(end);
+            self.core.reset(end);
             self.kernel_start = end;
             self.cursor.kernel += 1;
             if self.cursor.kernel == KERNELS.len() {
@@ -379,7 +375,7 @@ impl StreamProcess {
 
     /// Current virtual time of this instance.
     pub fn now(&self) -> Time {
-        self.cpu_time
+        self.core.now()
     }
 
     /// Bytes the instance has nominally moved so far (STREAM accounting).
@@ -444,7 +440,7 @@ impl StreamProcess {
             miss_latency_mean: mean,
             miss_latency_p99: p99,
             verified: self.verify(sys),
-            elapsed: self.cpu_time - self.started_at,
+            elapsed: self.core.now() - self.started_at,
         }
     }
 
@@ -585,7 +581,7 @@ mod tests {
     }
 
     /// The definition `step_on` is held to: every element of the step a
-    /// full `access_info` per array, scalar data ops and a per-element
+    /// full `Core::load` per array, scalar data ops and a per-element
     /// clock — no handles, no closed forms.
     fn step_definitional<R: RemoteBackend>(p: &mut StreamProcess, sys: &mut MemSystem<R>) -> Step {
         let kernel = KERNELS[p.cursor.kernel];
@@ -594,12 +590,9 @@ mod tests {
         let j1 = (j0 + p.elems_per_line).min(p.cfg.elements);
         let (s, StreamArrays { a, b, c }) = (p.cfg.scalar, p.arrays);
         for j in j0..j1 {
-            let at = p.ring.issue_at(p.cpu_time);
+            let at = p.core.slot();
             let mut access = |v: SimVec<f64>, write: bool| {
-                let (done, missed) = sys.access_info(at, v.addr(j), write);
-                if missed {
-                    p.ring.push(done);
-                }
+                p.core.load(sys, at, v.addr(j), write);
             };
             let (dst, value) = match kernel {
                 Kernel::Copy => {
@@ -621,12 +614,9 @@ mod tests {
                     (a, b.get_raw(sys, j) + s * c.get_raw(sys, j))
                 }
             };
-            let (done, missed) = sys.access_info(at, dst.addr(j), true);
-            if missed {
-                p.ring.push(done);
-            }
+            p.core.load(sys, at, dst.addr(j), true);
             dst.set_raw(sys, j, value);
-            p.cpu_time = p.cpu_time.max2(at) + p.cfg.cpu_per_element;
+            p.core.retire(at, p.cfg.cpu_per_element);
         }
         p.finish_line(kernel)
     }

@@ -15,7 +15,7 @@
 //! algorithm and data structure — and the counts must match exactly.
 
 use crate::graph500::CsrGraph;
-use crate::issue::IssueRing;
+use crate::issue::Core;
 use thymesim_mem::{MemSystem, RemoteBackend};
 use thymesim_sim::{Dur, Time};
 
@@ -56,9 +56,7 @@ pub fn tc<R: RemoteBackend>(
     g: &CsrGraph,
     start: Time,
 ) -> TcReport {
-    let mut ring = IssueRing::new(cfg.mlp);
-    ring.reset(start);
-    let mut cpu = start;
+    let mut core = Core::new(cfg.mlp, start);
     let mut triangles = 0u64;
     let mut wedge_steps = 0u64;
 
@@ -67,27 +65,22 @@ pub fn tc<R: RemoteBackend>(
     let mut tail_v: Vec<u32> = Vec::new();
     let mut nbrs: Vec<u32> = Vec::new();
     for u in 0..g.n {
-        let at = ring.issue_at(cpu);
-        let (dx, mx) = sys.access_info(at, g.xadj.addr(u), false);
-        if mx {
-            ring.push(dx);
-        }
+        let at = core.slot();
+        core.load(sys, at, g.xadj.addr(u), false);
         let (lo, hi) = g.row_bounds_raw(sys, u);
-        cpu = cpu.max2(at) + cfg.cpu_per_step;
+        core.retire(at, cfg.cpu_per_step);
         // Timed sequential scan of the full row; keep the deduplicated
         // oriented tail (neighbours strictly above u — drops self-loops
         // and parallel edges).
         tail_u.clear();
         for e in lo..hi {
-            let at = ring.issue_at(cpu);
-            let (w, d, m) = g.adj_probe(sys, at, u, e);
-            if m {
-                ring.push(d);
-            }
+            let at = core.slot();
+            let (w, wa) = g.adj(sys, u, e);
+            core.load(sys, at, wa, false);
             if (w as u64) > u && tail_u.last() != Some(&w) {
                 tail_u.push(w);
             }
-            cpu = cpu.max2(at) + cfg.cpu_per_step;
+            core.retire(at, cfg.cpu_per_step);
         }
         for (i, &v) in tail_u.iter().enumerate() {
             // Find where v's oriented tail starts (untimed bookkeeping —
@@ -98,15 +91,13 @@ pub fn tc<R: RemoteBackend>(
             let first = nbrs.partition_point(|&x| x <= v);
             tail_v.clear();
             for (k, &w) in nbrs.iter().enumerate().skip(first) {
-                let at = ring.issue_at(cpu);
-                let (_, d, m) = g.adj_probe(sys, at, v as u64, vlo + k as u64);
-                if m {
-                    ring.push(d);
-                }
+                let at = core.slot();
+                let (_, wa) = g.adj(sys, v as u64, vlo + k as u64);
+                core.load(sys, at, wa, false);
                 if tail_v.last() != Some(&w) {
                     tail_v.push(w);
                 }
-                cpu = cpu.max2(at) + cfg.cpu_per_step;
+                core.retire(at, cfg.cpu_per_step);
             }
             // Pure-CPU two-pointer merge: common elements of u's tail
             // past v and v's tail are triangles u<v<w.
@@ -122,13 +113,13 @@ pub fn tc<R: RemoteBackend>(
                         b += 1;
                     }
                 }
-                cpu += cfg.cpu_per_step;
+                core.compute(cfg.cpu_per_step);
             }
         }
     }
     thymesim_telemetry::phase_end();
 
-    let end = ring.horizon().max2(cpu);
+    let end = core.end();
     thymesim_telemetry::span_arg("workload", "tc", start, end, "triangles", triangles);
     TcReport {
         triangles,

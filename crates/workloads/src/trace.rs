@@ -16,7 +16,7 @@
 //! Offsets are relative to the replay base address, so the same trace can
 //! be placed in local or remote memory.
 
-use crate::issue::IssueRing;
+use crate::issue::Core;
 use thymesim_mem::{Addr, MemSystem, RemoteBackend};
 use thymesim_sim::{Dur, Histogram, Time, Xoshiro256};
 
@@ -135,26 +135,23 @@ pub fn replay<R: RemoteBackend>(
     cfg: &ReplayConfig,
     start: Time,
 ) -> ReplayReport {
-    let mut ring = IssueRing::new(cfg.mlp.max(1));
-    ring.reset(start);
+    let mut core = Core::new(cfg.mlp, start);
     let mut latency = Histogram::new();
-    let mut cpu = start;
     let mut last_done = start;
     for op in ops {
+        // Dependent mode bypasses the window: each access waits for the
+        // previous one, so the slots it holds all drain by `last_done`.
         let at = if cfg.dependent {
-            last_done.max2(cpu)
+            last_done.max2(core.now())
         } else {
-            ring.issue_at(cpu)
+            core.slot()
         };
-        let (done, missed) = sys.access_info(at, base.offset(op.offset), op.write);
-        if missed && !cfg.dependent {
-            ring.push(done);
-        }
+        let done = core.load(sys, at, base.offset(op.offset), op.write);
         latency.record((done - at).as_ps());
         last_done = done;
-        cpu = cpu.max2(at) + cfg.cpu_per_op;
+        core.retire(at, cfg.cpu_per_op);
     }
-    let end = ring.horizon().max2(last_done).max2(cpu);
+    let end = core.end().max2(last_done);
     let elapsed = end - start;
     ReplayReport {
         ops: ops.len() as u64,

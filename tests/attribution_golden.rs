@@ -1,7 +1,7 @@
 //! Golden-trace corpus: the attribution artifacts for the pinned quick
-//! configuration (`repro validate --profile quick --trace`) are
-//! committed under `tests/golden/` and this test regenerates them
-//! in-process and byte-compares.
+//! configuration (`repro validate`, `table1` and `kernels` at
+//! `--profile quick --trace`) are committed under `tests/golden/` and
+//! this test regenerates them in-process and byte-compares.
 //!
 //! Because folding is order-independent and trace assembly is
 //! grid-ordered, the artifacts must match whatever the thread count:
@@ -24,17 +24,18 @@
 //! `results/baselines/quick.json`, which gates the same stages).
 
 use std::path::{Path, PathBuf};
-use thymesim::core::experiments::apps::table1;
+use thymesim::core::experiments::apps::{kernel_scale, table1};
 use thymesim::core::experiments::validate::{stream_delay_sweep, FIG2_PERIODS};
 use thymesim::core::sweep::{self, SweepOptions};
 use thymesim_bench::Profile;
 use thymesim_telemetry::{attribution, TraceConfig};
 
 const GOLDEN_DIR: &str = "tests/golden";
-const FIXTURES: [&str; 3] = [
+const FIXTURES: [&str; 4] = [
     "validate_stream_delay.collapsed",
     "apps_table1.collapsed",
     "attribution.json",
+    "apps_kernels.collapsed",
 ];
 
 fn golden_path(name: &str) -> PathBuf {
@@ -62,6 +63,10 @@ fn generate(dir: &Path, jobs: usize) {
     // corpus pins every workload family's phase frames, not just STREAM's.
     table1(&profile.testbed, &profile.apps);
     thymesim_telemetry::write_attribution().expect("attribution.json written");
+    // The GAP kernels on the compressed CSR pin the seam's other layout.
+    // This sweep runs after `attribution.json` is written, so that file
+    // covers the two sweeps above only.
+    kernel_scale(&profile.testbed, &profile.kernels);
     thymesim_telemetry::disable();
     sweep::configure(SweepOptions::default());
 }
