@@ -13,8 +13,9 @@
 //!
 //! ## The CSR accessor seam
 //!
-//! All kernels reach adjacency through [`CsrGraph::adj`] instead of
-//! indexing a raw array. It hands out a neighbour and the address to
+//! All kernels reach adjacency through [`CsrGraph::adj`] (per edge) or
+//! [`CsrGraph::row_from`] (a row suffix from a [`RowCursor`]) instead of
+//! indexing a raw array. Both hand out a neighbour and the address to
 //! time it at, which lets two storage layouts coexist behind one type:
 //!
 //! * **Flat** — one `u32` per directed edge, the classic CSR.
@@ -161,9 +162,21 @@ struct RowCache {
     row: Option<u64>,
     lo: u64,
     vals: Vec<u32>,
-    /// Absolute byte offset of each entry's first varint byte — the
-    /// address a timed access for that edge lands on.
-    offs: Vec<u64>,
+    /// Each entry's first varint byte — the address a timed access for
+    /// that edge lands on.
+    addrs: Vec<Addr>,
+}
+
+/// A resumable position in one adjacency row: the next entry's index
+/// (flat) or the byte offset of its varint (compressed), and the value
+/// that varint's delta is taken from (0 at the row start). Rows are
+/// sorted, so the entries above any value are one suffix, and a cursor
+/// at its start is all a kernel keeps to revisit it without decoding
+/// the prefix again.
+#[derive(Clone, Copy, Debug)]
+pub struct RowCursor {
+    pos: u64,
+    base: u32,
 }
 
 /// The graph in CSR form, living in simulated memory. Adjacency rows are
@@ -195,50 +208,90 @@ impl CsrGraph {
         (self.xadj.get_raw(sys, v), self.xadj.get_raw(sys, v + 1))
     }
 
-    /// Decode row `v` into the single-row cache (compressed layout).
-    fn ensure_row<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64) {
-        let (row_off, bytes) = match &self.adj {
-            AdjStorage::Compressed { row_off, bytes, .. } => (row_off, bytes),
-            AdjStorage::Flat { .. } => unreachable!("ensure_row on flat CSR"),
+    /// Cursor at row `v`'s first entry, and the position ending the row.
+    fn row_span<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64) -> (RowCursor, u64) {
+        let (pos, end) = match &self.adj {
+            AdjStorage::Flat { .. } => self.row_bounds_raw(sys, v),
+            AdjStorage::Compressed { row_off, .. } => {
+                (row_off.get_raw(sys, v), row_off.get_raw(sys, v + 1))
+            }
         };
-        let mut c = self.cache.borrow_mut();
-        if c.row == Some(v) {
-            return;
+        (RowCursor { pos, base: 0 }, end)
+    }
+
+    /// Decode the entry at `cur` and advance past it.
+    #[inline]
+    fn step<R: RemoteBackend>(&self, sys: &MemSystem<R>, cur: &mut RowCursor) -> (u32, Addr) {
+        match &self.adj {
+            AdjStorage::Flat { adj } => {
+                let e = cur.pos;
+                cur.pos += 1;
+                (adj.get_raw(sys, e), adj.addr(e))
+            }
+            AdjStorage::Compressed { bytes, .. } => {
+                let at = bytes.addr(cur.pos);
+                let (delta, next) = read_varint(sys, bytes, cur.pos);
+                cur.base += delta as u32;
+                cur.pos = next;
+                (cur.base, at)
+            }
         }
-        let (lo, hi) = self.row_bounds_raw(sys, v);
-        let mut pos = row_off.get_raw(sys, v);
-        c.vals.clear();
-        c.offs.clear();
-        let mut prev = 0u32;
-        for k in lo..hi {
-            c.offs.push(pos);
-            let (delta, next) = read_varint(sys, bytes, pos);
-            let val = if k == lo {
-                delta as u32
-            } else {
-                prev + delta as u32
-            };
-            c.vals.push(val);
-            prev = val;
-            pos = next;
+    }
+
+    /// Cursor at row `v`'s first entry `>= min` (the row end if none).
+    /// Untimed, O(deg) for the compressed layout: a kernel that revisits
+    /// a row's suffix seeks once and keeps the cursor.
+    pub fn seek<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64, min: u32) -> RowCursor {
+        let (mut cur, end) = self.row_span(sys, v);
+        while cur.pos < end {
+            let mut next = cur;
+            if self.step(sys, &mut next).0 >= min {
+                break;
+            }
+            cur = next;
         }
-        debug_assert_eq!(pos, row_off.get_raw(sys, v + 1), "row {v} decode overrun");
-        c.row = Some(v);
-        c.lo = lo;
+        cur
+    }
+
+    /// Untimed decode of row `v` from `from` to its end, handing `f`
+    /// each neighbour in order and the address a timed read of it lands
+    /// on — the entry itself when flat, its first encoded byte when
+    /// compressed.
+    pub fn row_from<R: RemoteBackend>(
+        &self,
+        sys: &MemSystem<R>,
+        v: u64,
+        from: RowCursor,
+        mut f: impl FnMut(u32, Addr),
+    ) {
+        let (mut cur, end) = (from, self.row_span(sys, v).1);
+        while cur.pos < end {
+            let (w, at) = self.step(sys, &mut cur);
+            f(w, at);
+        }
     }
 
     /// Directed edge `e` (which must lie in row `v`): the neighbour and
-    /// the address a timed read of it lands on — the entry itself when
-    /// flat, its first encoded byte when compressed. Untimed: the caller
+    /// the address a timed read of it lands on. Untimed: the caller
     /// issues the access (or not, for references and validation).
     pub fn adj<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64, e: u64) -> (u32, Addr) {
         match &self.adj {
             AdjStorage::Flat { adj } => (adj.get_raw(sys, e), adj.addr(e)),
-            AdjStorage::Compressed { bytes, .. } => {
-                self.ensure_row(sys, v);
-                let c = self.cache.borrow();
+            AdjStorage::Compressed { .. } => {
+                let mut c = self.cache.borrow_mut();
+                if c.row != Some(v) {
+                    let c = &mut *c;
+                    c.vals.clear();
+                    c.addrs.clear();
+                    self.row_from(sys, v, self.row_span(sys, v).0, |w, at| {
+                        c.vals.push(w);
+                        c.addrs.push(at);
+                    });
+                    c.row = Some(v);
+                    c.lo = self.xadj.get_raw(sys, v);
+                }
                 let idx = (e - c.lo) as usize;
-                (c.vals[idx], bytes.addr(c.offs[idx]))
+                (c.vals[idx], c.addrs[idx])
             }
         }
     }
@@ -246,19 +299,7 @@ impl CsrGraph {
     /// Untimed decode of row `v`'s full (sorted) neighbour list into `out`.
     pub fn neighbors_raw<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64, out: &mut Vec<u32>) {
         out.clear();
-        let (lo, hi) = self.row_bounds_raw(sys, v);
-        match &self.adj {
-            AdjStorage::Flat { adj } => {
-                for e in lo..hi {
-                    out.push(adj.get_raw(sys, e));
-                }
-            }
-            AdjStorage::Compressed { .. } => {
-                self.ensure_row(sys, v);
-                let c = self.cache.borrow();
-                out.extend_from_slice(&c.vals);
-            }
-        }
+        self.row_from(sys, v, self.row_span(sys, v).0, |w, _| out.push(w));
     }
 
     /// Weight of directed edge `e` and its address, untimed like

@@ -9,7 +9,8 @@
 //! saturates the NIC credits), pointer-chasing workloads a small one —
 //! the distinction that drives the paper's Redis-vs-Graph500 divergence.
 //! Which accesses occupy a slot is chosen per access, by calling
-//! `Core::load` or `Core::hold`.
+//! `Core::load` or `Core::hold`; a sequential run of loads is one
+//! `Core::scan`.
 
 use std::collections::VecDeque;
 use thymesim_mem::{Addr, MemSystem, RemoteBackend};
@@ -68,8 +69,8 @@ impl IssueRing {
 /// A kernel step reads `at = slot()`, issues its accesses at `at`, then
 /// calls `retire(at, cost)`. Because `slot() >= now()`, that recurrence
 /// is `cpu = at + cost`, so steps that hold no slot issue exactly `cost`
-/// apart — the telescoping the STREAM line-step's closed-form replay
-/// relies on.
+/// apart — the telescoping the STREAM line-step's and [`Core::scan`]'s
+/// closed-form replays rely on.
 #[derive(Clone, Debug)]
 pub(crate) struct Core {
     ring: IssueRing,
@@ -114,6 +115,45 @@ impl Core {
     #[inline]
     pub fn hold(&mut self, done: Time) {
         self.ring.push(done);
+    }
+
+    /// An uninterrupted run of timed accesses, `cost` of CPU time apart:
+    /// exactly `at = slot(); load(sys, at, a, write); retire(at, cost)`
+    /// per address in turn, at one lookup per run of consecutive
+    /// same-line addresses. The run's first access executes; the rest
+    /// are guaranteed hits (hits never evict), hold no slot, and so
+    /// issue `cost` apart from the post-access `slot()` — replayed in
+    /// closed form like the STREAM line-step (DESIGN §10.2). Addresses
+    /// need not be sorted or evenly spaced. A loop that issues anything
+    /// else between its loads (a gather into another array) is not a
+    /// scan: that access could evict the line or outdate its LRU stamp.
+    pub fn scan<R: RemoteBackend>(
+        &mut self,
+        sys: &mut MemSystem<R>,
+        addrs: impl IntoIterator<Item = Addr>,
+        write: bool,
+        cost: Dur,
+    ) {
+        let map = sys.map;
+        let mut addrs = addrs.into_iter().peekable();
+        while let Some(a) = addrs.next() {
+            let line = map.line_of(a);
+            let mut rest = 0u64;
+            while addrs.next_if(|&b| map.line_of(b) == line).is_some() {
+                rest += 1;
+            }
+            let at = self.slot();
+            let (done, missed, touch) = sys.access_entry(at, a, write);
+            if missed {
+                self.ring.push(done);
+            }
+            self.retire(at, cost);
+            if rest > 0 {
+                let at2 = self.slot();
+                sys.retouch_rounds_at(at2, cost, &[(touch, write)], rest);
+                self.retire(at2, cost * rest);
+            }
+        }
     }
 
     /// Retire a step issued at `at` that costs `cost` of CPU time.
@@ -266,5 +306,85 @@ mod tests {
         assert_eq!(c.end(), Time::ns(500));
         c.reset(Time::us(1));
         assert_eq!((c.slot(), c.end()), (Time::us(1), Time::us(1)));
+    }
+
+    /// Everything a sequence of runs leaves behind, issued through
+    /// `Core::scan` or through its definition, a per-address
+    /// `slot`/`load`/`retire`.
+    fn scan_outcome(line: u64, mlp: usize, runs: &[(Vec<u64>, bool)], scan: bool) -> [String; 4] {
+        use thymesim_mem::{shared_dram, AddressMap, CacheConfig, DramConfig, NoRemote, SysTiming};
+        thymesim_telemetry::install(thymesim_telemetry::TraceRecorder::with_window(
+            0, 50_000, 100_000,
+        ));
+        let mut sys = MemSystem::new(
+            AddressMap::new(1 << 20, 1 << 20, line),
+            CacheConfig {
+                sets: 8,
+                ways: 2,
+                line,
+            },
+            shared_dram(DramConfig::default()),
+            SysTiming::default(),
+            NoRemote,
+        );
+        let mut core = Core::new(mlp, Time::ns(3));
+        let cost = Dur::ps(700);
+        for (offsets, write) in runs {
+            let addrs = offsets.iter().map(|&o| Addr(o));
+            if scan {
+                core.scan(&mut sys, addrs, *write, cost);
+            } else {
+                for a in addrs {
+                    let at = core.slot();
+                    core.load(&mut sys, at, a, *write);
+                    core.retire(at, cost);
+                }
+            }
+            core.compute(Dur::ns(2));
+        }
+        let clocks = format!("{:?}", (core.now(), core.slot(), core.end()));
+        let stats = format!("{:?} {:?}", sys.stats, sys.cache_stats());
+        // A follow-up conflict pass, then the runs' lines again: which of
+        // them missed is the order the cache's LRU stamps evicted them in.
+        let probes: Vec<(bool, u64)> = (0..16u64)
+            .map(|i| 0x8000 + i * line)
+            .chain(runs.iter().flat_map(|(o, _)| o.iter().copied()))
+            .map(|o| {
+                let missed = sys.access_info(core.now(), Addr(o), false).1;
+                (missed, sys.cache_stats().writebacks)
+            })
+            .collect();
+        let trace = format!(
+            "{:?}",
+            thymesim_telemetry::take().expect("recorder installed")
+        );
+        [clocks, stats, format!("{probes:?}"), trace]
+    }
+
+    #[test]
+    fn scan_matches_per_element_loads() {
+        let seq = |base: u64, stride: u64, n: u64| (0..n).map(|k| base + k * stride).collect();
+        // Varint-like irregular strides, crossing several lines.
+        let irregular = (0..90u64).map(|k| 0x1000 + k * 3 + k * k % 7).collect();
+        let runs: Vec<(Vec<u64>, bool)> = vec![
+            (seq(0, 4, 100), false),
+            (irregular, false),
+            // Line 0 re-visited after a line of the same set.
+            (vec![0x0, 0x4, 0x2000, 0x2004, 0x2008, 0x8, 0xc], false),
+            (seq(0x3000, 8, 70), true),
+            (seq(0x100, 4, 1), true),
+            (vec![], false),
+            (seq(0x2000, 16, 40), false),
+        ];
+        for line in [64, 128] {
+            for mlp in [1, 2, 16] {
+                let definition = scan_outcome(line, mlp, &runs, false);
+                assert_eq!(
+                    scan_outcome(line, mlp, &runs, true),
+                    definition,
+                    "line {line}, mlp {mlp}"
+                );
+            }
+        }
     }
 }

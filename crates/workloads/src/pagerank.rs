@@ -83,11 +83,10 @@ pub fn pagerank<R: RemoteBackend>(
         // Zero the next vector (timed sequential writes).
         thymesim_telemetry::phase_begin("pagerank.zero", None);
         let base_term = (1.0 - cfg.damping) / n as f64;
+        let next = state.next;
+        core.scan(sys, (0..n).map(|v| next.addr(v)), true, Dur::ps(200));
         for v in 0..n {
-            let at = core.slot();
-            core.load(sys, at, state.next.addr(v), true);
-            state.next.set_raw(sys, v, base_term);
-            core.retire(at, Dur::ps(200));
+            next.set_raw(sys, v, base_term);
         }
         // Push phase.
         thymesim_telemetry::phase_begin("pagerank.push", None);

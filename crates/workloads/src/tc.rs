@@ -8,15 +8,16 @@
 //! BFS/CC/BC there are no dependent random gathers, so a modest issue
 //! window prefetches the runs and the kernel degrades measurably less
 //! under injected delay. That locality contrast is exactly what the
-//! apps axis needs the kernel for.
+//! apps axis needs the kernel for. Nothing issues between a run's loads,
+//! so each run is one `Core::scan`.
 //!
 //! Differential oracle: [`reference_triangles`] recounts on the host via
 //! hash-set membership over deduplicated oriented tails — a different
 //! algorithm and data structure — and the counts must match exactly.
 
-use crate::graph500::CsrGraph;
+use crate::graph500::{CsrGraph, RowCursor};
 use crate::issue::Core;
-use thymesim_mem::{MemSystem, RemoteBackend};
+use thymesim_mem::{Addr, MemSystem, RemoteBackend};
 use thymesim_sim::{Dur, Time};
 
 /// Triangle-counting configuration.
@@ -59,46 +60,41 @@ pub fn tc<R: RemoteBackend>(
     let mut core = Core::new(cfg.mlp, start);
     let mut triangles = 0u64;
     let mut wedge_steps = 0u64;
+    // Where each vertex's oriented tail (entries strictly above it)
+    // starts, found once: a wedge visit then decodes only the tail it
+    // scans. Untimed host bookkeeping, O(n) cursors — the per-vertex
+    // offset a real TC would keep beside `xadj` (e.g. a split CSR).
+    let tails: Vec<RowCursor> = (0..g.n).map(|v| g.seek(sys, v, v as u32 + 1)).collect();
 
     thymesim_telemetry::phase_begin("tc.count", None);
     let mut tail_u: Vec<u32> = Vec::new();
     let mut tail_v: Vec<u32> = Vec::new();
-    let mut nbrs: Vec<u32> = Vec::new();
+    let mut addrs: Vec<Addr> = Vec::new();
     for u in 0..g.n {
-        let at = core.slot();
-        core.load(sys, at, g.xadj.addr(u), false);
-        let (lo, hi) = g.row_bounds_raw(sys, u);
-        core.retire(at, cfg.cpu_per_step);
-        // Timed sequential scan of the full row; keep the deduplicated
-        // oriented tail (neighbours strictly above u — drops self-loops
-        // and parallel edges).
+        // Timed sequential scan of u's xadj entry and full row; keep the
+        // deduplicated oriented tail (neighbours strictly above u —
+        // drops self-loops and parallel edges).
         tail_u.clear();
-        for e in lo..hi {
-            let at = core.slot();
-            let (w, wa) = g.adj(sys, u, e);
-            core.load(sys, at, wa, false);
+        addrs.clear();
+        addrs.push(g.xadj.addr(u));
+        g.row_from(sys, u, g.seek(sys, u, 0), |w, wa| {
+            addrs.push(wa);
             if (w as u64) > u && tail_u.last() != Some(&w) {
                 tail_u.push(w);
             }
-            core.retire(at, cfg.cpu_per_step);
-        }
+        });
+        core.scan(sys, addrs.iter().copied(), false, cfg.cpu_per_step);
         for (i, &v) in tail_u.iter().enumerate() {
-            // Find where v's oriented tail starts (untimed bookkeeping —
-            // on real hardware this is the row index), then scan the
-            // tail run timed.
-            g.neighbors_raw(sys, v as u64, &mut nbrs);
-            let (vlo, _) = g.row_bounds_raw(sys, v as u64);
-            let first = nbrs.partition_point(|&x| x <= v);
+            // Timed sequential scan of v's tail run.
             tail_v.clear();
-            for (k, &w) in nbrs.iter().enumerate().skip(first) {
-                let at = core.slot();
-                let (_, wa) = g.adj(sys, v as u64, vlo + k as u64);
-                core.load(sys, at, wa, false);
+            addrs.clear();
+            g.row_from(sys, v as u64, tails[v as usize], |w, wa| {
+                addrs.push(wa);
                 if tail_v.last() != Some(&w) {
                     tail_v.push(w);
                 }
-                core.retire(at, cfg.cpu_per_step);
-            }
+            });
+            core.scan(sys, addrs.iter().copied(), false, cfg.cpu_per_step);
             // Pure-CPU two-pointer merge: common elements of u's tail
             // past v and v's tail are triangles u<v<w.
             let (mut a, mut b) = (i + 1, 0usize);
@@ -241,6 +237,121 @@ mod tests {
             assert_eq!(report.triangles, 0);
             assert_eq!(reference, 0);
             assert_eq!(report.wedge_steps, 0);
+        }
+    }
+
+    /// The definition `tc` is held to: a full `Core::load` per scanned
+    /// entry, and v's whole row decoded at every wedge to find its tail.
+    fn tc_definitional<R: RemoteBackend>(
+        cfg: &TcConfig,
+        sys: &mut MemSystem<R>,
+        g: &CsrGraph,
+        start: Time,
+    ) -> TcReport {
+        let mut core = Core::new(cfg.mlp, start);
+        let (mut triangles, mut wedge_steps) = (0u64, 0u64);
+        thymesim_telemetry::phase_begin("tc.count", None);
+        let (mut tail_u, mut tail_v, mut nbrs) = (Vec::new(), Vec::new(), Vec::new());
+        for u in 0..g.n {
+            let at = core.slot();
+            core.load(sys, at, g.xadj.addr(u), false);
+            let (lo, hi) = g.row_bounds_raw(sys, u);
+            core.retire(at, cfg.cpu_per_step);
+            tail_u.clear();
+            for e in lo..hi {
+                let at = core.slot();
+                let (w, wa) = g.adj(sys, u, e);
+                core.load(sys, at, wa, false);
+                if (w as u64) > u && tail_u.last() != Some(&w) {
+                    tail_u.push(w);
+                }
+                core.retire(at, cfg.cpu_per_step);
+            }
+            for (i, &v) in tail_u.iter().enumerate() {
+                g.neighbors_raw(sys, v as u64, &mut nbrs);
+                let (vlo, _) = g.row_bounds_raw(sys, v as u64);
+                let first = nbrs.partition_point(|&x| x <= v);
+                tail_v.clear();
+                for (k, &w) in nbrs.iter().enumerate().skip(first) {
+                    let at = core.slot();
+                    let (_, wa) = g.adj(sys, v as u64, vlo + k as u64);
+                    core.load(sys, at, wa, false);
+                    if tail_v.last() != Some(&w) {
+                        tail_v.push(w);
+                    }
+                    core.retire(at, cfg.cpu_per_step);
+                }
+                let (mut a, mut b) = (i + 1, 0usize);
+                while a < tail_u.len() && b < tail_v.len() {
+                    wedge_steps += 1;
+                    match tail_u[a].cmp(&tail_v[b]) {
+                        std::cmp::Ordering::Less => a += 1,
+                        std::cmp::Ordering::Greater => b += 1,
+                        std::cmp::Ordering::Equal => {
+                            triangles += 1;
+                            a += 1;
+                            b += 1;
+                        }
+                    }
+                    core.compute(cfg.cpu_per_step);
+                }
+            }
+        }
+        thymesim_telemetry::phase_end();
+        let end = core.end();
+        thymesim_telemetry::span_arg("workload", "tc", start, end, "triangles", triangles);
+        TcReport {
+            triangles,
+            elapsed: end - start,
+            wedge_steps,
+        }
+    }
+
+    #[test]
+    fn tc_matches_the_definitional_kernel() {
+        // A 4 KiB LLC both layouts thrash and a 2-deep window, so scans
+        // replay hits behind pending misses; recorder installed and not.
+        type Kernel = fn(&TcConfig, &mut MemSystem<NoRemote>, &CsrGraph, Time) -> TcReport;
+        let cfg = TcConfig {
+            mlp: 2,
+            ..TcConfig::default()
+        };
+        for layout in [CsrLayout::Flat, CsrLayout::Compressed] {
+            let run = |kernel: Kernel, traced: bool| {
+                let mut s = MemSystem::new(
+                    AddressMap::new(256 << 20, 256 << 20, 128),
+                    CacheConfig {
+                        sets: 16,
+                        ways: 2,
+                        line: 128,
+                    },
+                    shared_dram(DramConfig::default()),
+                    SysTiming::default(),
+                    NoRemote,
+                );
+                let mut arena = Arena::new(Addr(0), 256 << 20);
+                let g =
+                    build_csr_degree_ordered(&Graph500Config::tiny(), &mut s, &mut arena, layout);
+                if traced {
+                    thymesim_telemetry::install(thymesim_telemetry::TraceRecorder::with_window(
+                        0, 50_000, 1_000_000,
+                    ));
+                }
+                let report = kernel(&cfg, &mut s, &g, Time::ns(3));
+                let trace = traced.then(|| format!("{:?}", thymesim_telemetry::take()));
+                let stats = format!("{report:?} {:?}", s.stats);
+                (stats, s.cache_stats(), trace)
+            };
+            let untraced = run(tc_definitional, false);
+            assert!(untraced.1.evictions > 1000, "{layout:?}: must thrash");
+            assert_eq!(run(tc, false), untraced, "{layout:?}, no recorder");
+            let traced = run(tc_definitional, true);
+            assert_eq!(
+                (&traced.0, traced.1),
+                (&untraced.0, untraced.1),
+                "{layout:?}: recording is observational"
+            );
+            assert_eq!(run(tc, true), traced, "{layout:?}, recorder installed");
         }
     }
 }
