@@ -150,10 +150,6 @@ impl StreamSim {
         &self.violations
     }
 
-    pub fn stage_mut(&mut self, id: StageId) -> &mut dyn Stage {
-        self.stages[id.0].as_mut()
-    }
-
     /// Downcast helper for inspecting concrete stages after a run.
     pub fn stage_ref(&self, id: StageId) -> &dyn Stage {
         self.stages[id.0].as_ref()

@@ -405,10 +405,6 @@ impl CreditGate {
     pub fn available(&self) -> u32 {
         self.available
     }
-
-    pub fn in_flight(&self) -> u32 {
-        self.max_credits - self.available
-    }
 }
 
 impl Stage for CreditGate {

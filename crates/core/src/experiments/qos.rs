@@ -26,7 +26,9 @@ use thymesim_fabric::DelaySpec;
 use thymesim_mem::SimVec;
 use thymesim_serve::{AdmissionPolicy, ServeConfig, ServeProcess, ServeReport};
 use thymesim_sim::{run_processes, Process, Step, Time};
-use thymesim_workloads::graph500::{self, Graph500Config, GraphArray, GraphPlacement};
+use thymesim_workloads::graph500::{
+    self, CsrArenas, CsrLayout, Graph500Config, GraphArray, GraphPlacement,
+};
 use thymesim_workloads::stream::StreamConfig;
 
 /// Estimated traffic profile of one CSR array for a BFS/SSSP run.
@@ -161,12 +163,14 @@ fn run_placed(
         remote_arena,
         ..
     } = &mut tb;
-    let g = graph500::build_csr_placed(gcfg, borrower, local_arena, remote_arena, placement);
-    let out: SimVec<u32> = if placement.out_remote {
-        remote_arena.alloc_vec(g.n)
-    } else {
-        local_arena.alloc_vec(g.n)
+    let mut arenas = CsrArenas::Placed {
+        local: local_arena,
+        remote: remote_arena,
+        placement,
     };
+    let edges = graph500::kronecker_edges(gcfg);
+    let g = graph500::build_from_edges(gcfg, borrower, &mut arenas, CsrLayout::Flat, &edges);
+    let out: SimVec<u32> = arenas.alloc(GraphArray::Out, g.n);
     let report = match kernel {
         GraphKernel::Bfs => graph500::run_bfs_benchmark(gcfg, borrower, &g, &out, false),
         GraphKernel::Sssp => graph500::run_sssp_benchmark(gcfg, borrower, &g, &out, false),

@@ -15,7 +15,9 @@ use thymesim_mem::{
 use thymesim_sim::{Process, Step, Time};
 use thymesim_workloads::bc::{self, BcConfig, BcState};
 use thymesim_workloads::cc::{self, CcConfig};
-use thymesim_workloads::graph500::{self, CsrLayout, Graph500Config, Graph500Report, TraversalRun};
+use thymesim_workloads::graph500::{
+    self, CsrArenas, CsrLayout, Graph500Config, Graph500Report, TraversalRun,
+};
 use thymesim_workloads::kv::{self, KvConfig, KvReport, KvStore};
 use thymesim_workloads::stream::{StreamArrays, StreamConfig, StreamProcess, StreamReport};
 use thymesim_workloads::tc::{self, TcConfig};
@@ -165,11 +167,12 @@ pub fn run_graph_kernel<R: RemoteBackend>(
     layout: CsrLayout,
     validate: bool,
 ) -> GraphKernelRun {
-    let g = match kernel {
+    let edges = match kernel {
         // TC needs the degree-ordered relabelling for its oriented tails.
-        GraphKernel::Tc => graph500::build_csr_degree_ordered(cfg, sys, arena, layout),
-        _ => graph500::build_csr_with(cfg, sys, arena, layout),
+        GraphKernel::Tc => graph500::degree_ordered_edges(cfg),
+        _ => graph500::kronecker_edges(cfg),
     };
+    let g = graph500::build_from_edges(cfg, sys, &mut CsrArenas::One(arena), layout, &edges);
     let adjacency_bytes = g.adjacency_bytes();
     let report = match kernel {
         GraphKernel::Bfs => {

@@ -12,9 +12,7 @@
 //! * [`dist`] — the paper's future-work extension: distribution-driven
 //!   per-message delay (uniform / exponential / Pareto / trace replay);
 //! * [`gate::PiecewisePeriod`] — PERIOD schedules that change during a run
-//!   (§V: latency variation at short timescales);
-//! * [`calibrate`] — PERIOD ↔ latency/bandwidth mappings used by the
-//!   validation experiment (Fig. 2/3) and for choosing sweep points.
+//!   (§V: latency variation at short timescales).
 //!
 //! ```
 //! use thymesim_delay::{AnalyticGate, ConstPeriod};
@@ -27,7 +25,6 @@
 //! assert_eq!((second - first), thymesim_sim::Dur::ns(400));
 //! ```
 
-pub mod calibrate;
 pub mod dist;
 pub mod gate;
 pub mod model;

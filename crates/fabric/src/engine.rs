@@ -253,14 +253,6 @@ impl FabricEngine {
         self.attached = v;
     }
 
-    pub fn tx_link(&self) -> &SerialLink {
-        &self.tx
-    }
-
-    pub fn rx_link(&self) -> &SerialLink {
-        &self.rx
-    }
-
     pub fn window(&self) -> &CreditWindow {
         &self.window
     }
@@ -418,11 +410,6 @@ impl RemoteBackend for FabricEngine {
             bus.access(t_lender, addr, self.cfg.line_bytes);
         }
     }
-}
-
-/// Convenience: did the engine (or its control plane) record a crash?
-pub fn crash_of(engine: &FabricEngine) -> Option<Crash> {
-    engine.health.crashed()
 }
 
 #[cfg(test)]

@@ -48,11 +48,6 @@ impl PacketKind {
             _ => return None,
         })
     }
-
-    /// Does this kind carry a cache line of payload?
-    pub fn carries_data(self) -> bool {
-        matches!(self, PacketKind::ReadResp | PacketKind::WriteReq)
-    }
 }
 
 /// A fabric packet (header + optional payload).

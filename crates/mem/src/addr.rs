@@ -91,10 +91,6 @@ impl AddressMap {
         a.0 - self.remote_base
     }
 
-    pub fn local_base_addr(&self) -> Addr {
-        Addr(0)
-    }
-
     pub fn remote_base_addr(&self) -> Addr {
         Addr(self.remote_base)
     }

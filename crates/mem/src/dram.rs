@@ -146,12 +146,6 @@ impl DramChannel {
         self.banked.as_ref().map(|b| b.stats())
     }
 
-    /// Direct access to the banked engine (command-trace control in
-    /// the property tests); `None` on the `Fixed` model.
-    pub fn banked_mut(&mut self) -> Option<&mut BankedDram> {
-        self.banked.as_mut()
-    }
-
     /// Move `bytes` over the bus starting no earlier than `at`.
     ///
     /// Arrivals may be slightly out of order across clients (the virtual-

@@ -94,12 +94,6 @@ impl Xoshiro256 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Bernoulli trial with probability `p`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {

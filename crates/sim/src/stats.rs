@@ -56,9 +56,6 @@ impl Welford {
             self.m2 / (self.n - 1) as f64
         }
     }
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
     pub fn min(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -170,11 +167,6 @@ impl Histogram {
         if v > self.max {
             self.max = v;
         }
-    }
-
-    #[inline]
-    pub fn record_dur(&mut self, d: Dur) {
-        self.record(d.as_ps());
     }
 
     pub fn count(&self) -> u64 {

@@ -76,6 +76,7 @@ pub fn bc<R: RemoteBackend>(
 
     let mut core = Core::new(cfg.mlp, start);
     let mut edges_traversed = 0u64;
+    let mut row = Vec::new();
 
     for &s in sources {
         // Untimed per-source reinit (bookkeeping, as the reference
@@ -102,14 +103,13 @@ pub fn bc<R: RemoteBackend>(
             for &v in &frontier {
                 let at = core.slot();
                 core.load(sys, at, g.xadj.addr(v as u64), false);
-                let (lo, hi) = g.row_bounds_raw(sys, v as u64);
+                g.row(sys, g.cursor(sys, v as u64), &mut row);
                 core.load(sys, at, state.sigma.addr(v as u64), false);
                 let sv = state.sigma.get_raw(sys, v as u64);
                 core.retire(at, cfg.cpu_per_edge);
-                for e in lo..hi {
+                for &(w, wa) in &row {
                     edges_traversed += 1;
                     let at = core.slot();
-                    let (w, wa) = g.adj(sys, v as u64, e);
                     core.load(sys, at, wa, false);
                     core.load(sys, at, state.depth.addr(w as u64), false);
                     let dw = state.depth.get_raw(sys, w as u64);
@@ -137,15 +137,14 @@ pub fn bc<R: RemoteBackend>(
             for &v in frontier {
                 let at = core.slot();
                 core.load(sys, at, g.xadj.addr(v as u64), false);
-                let (lo, hi) = g.row_bounds_raw(sys, v as u64);
+                g.row(sys, g.cursor(sys, v as u64), &mut row);
                 let dv = state.depth.get_raw(sys, v as u64);
                 let sv = state.sigma.get_raw(sys, v as u64);
                 core.retire(at, cfg.cpu_per_edge);
                 let mut acc = 0.0f64;
-                for e in lo..hi {
+                for &(w, wa) in &row {
                     edges_traversed += 1;
                     let at = core.slot();
-                    let (w, wa) = g.adj(sys, v as u64, e);
                     core.load(sys, at, wa, false);
                     core.load(sys, at, state.delta.addr(w as u64), false);
                     if state.depth.get_raw(sys, w as u64) == dv.wrapping_add(1) {
@@ -220,8 +219,8 @@ pub fn reference_bc<R: RemoteBackend>(
             let mut next = Vec::new();
             for &v in &frontier {
                 let sv = sigma[v as usize];
-                g.neighbors_raw(sys, v as u64, &mut row);
-                for &w in &row {
+                g.row(sys, g.cursor(sys, v as u64), &mut row);
+                for &(w, _) in &row {
                     if depth[w as usize] == INF {
                         depth[w as usize] = d + 1;
                         sigma[w as usize] = sv;
@@ -237,9 +236,9 @@ pub fn reference_bc<R: RemoteBackend>(
             for &v in frontier {
                 let dv = depth[v as usize];
                 let sv = sigma[v as usize];
-                g.neighbors_raw(sys, v as u64, &mut row);
+                g.row(sys, g.cursor(sys, v as u64), &mut row);
                 let mut acc = 0.0f64;
-                for &w in &row {
+                for &(w, _) in &row {
                     if depth[w as usize] == dv.wrapping_add(1) {
                         acc += sv / sigma[w as usize] * (1.0 + delta[w as usize]);
                     }
@@ -273,7 +272,8 @@ pub fn validate_bc<R: RemoteBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph500::{build_csr_with, pick_roots, CsrLayout, Graph500Config};
+    use crate::graph500::tests::build;
+    use crate::graph500::{pick_roots, CsrLayout, Graph500Config};
     use thymesim_mem::{
         shared_dram, Addr, AddressMap, CacheConfig, DramConfig, NoRemote, SysTiming,
     };
@@ -291,7 +291,7 @@ mod tests {
     fn run(layout: CsrLayout, gcfg: &Graph500Config, sources: &[u32]) -> (BcReport, bool) {
         let mut s = sys();
         let mut arena = Arena::new(Addr(0), 256 << 20);
-        let g = build_csr_with(gcfg, &mut s, &mut arena, layout);
+        let g = build(gcfg, &mut s, &mut arena, layout);
         let state = BcState::alloc(&mut arena, g.n);
         let score: SimVec<f64> = arena.alloc_vec(g.n.max(1));
         let report = bc(
@@ -312,9 +312,8 @@ mod tests {
         let gcfg = Graph500Config::tiny();
         let mut s = sys();
         let mut arena = Arena::new(Addr(0), 256 << 20);
-        let g = build_csr_with(&gcfg, &mut s, &mut arena, CsrLayout::Flat);
+        let g = build(&gcfg, &mut s, &mut arena, CsrLayout::Flat);
         let sources = pick_roots(&gcfg, &s, &g);
-        drop(g);
         for layout in [CsrLayout::Flat, CsrLayout::Compressed] {
             let (report, ok) = run(layout, &gcfg, &sources);
             assert!(ok, "BC oracle failed under {layout:?}");
@@ -329,7 +328,7 @@ mod tests {
         let gcfg = Graph500Config::tiny();
         let mut s = sys();
         let mut arena = Arena::new(Addr(0), 256 << 20);
-        let g = build_csr_with(&gcfg, &mut s, &mut arena, CsrLayout::Flat);
+        let g = build(&gcfg, &mut s, &mut arena, CsrLayout::Flat);
         let sources = pick_roots(&gcfg, &s, &g);
         let state = BcState::alloc(&mut arena, g.n);
         let score: SimVec<f64> = arena.alloc_vec(g.n);

@@ -71,6 +71,7 @@ pub fn cc<R: RemoteBackend>(
     let mut iterations = 0u32;
     let mut converged = false;
     let mut edges_examined = 0u64;
+    let mut row = Vec::new();
 
     for iter in 0..cfg.max_iters {
         thymesim_telemetry::phase_begin("cc.iter", Some(iter as u64));
@@ -83,15 +84,14 @@ pub fn cc<R: RemoteBackend>(
             let mut lv = labels.get_raw(sys, v);
             // Row bounds ride the same issue slot (xadj is sequential).
             core.load(sys, at, g.xadj.addr(v), false);
-            let (lo, hi) = g.row_bounds_raw(sys, v);
+            g.row(sys, g.cursor(sys, v), &mut row);
             core.retire(at, cfg.cpu_per_edge);
             let before = lv;
-            for e in lo..hi {
+            for &(w, wa) in &row {
                 edges_examined += 1;
                 let at = core.slot();
                 // Neighbour id (sequential through the seam) then its
                 // label (random gather).
-                let (w, wa) = g.adj(sys, v, e);
                 core.load(sys, at, wa, false);
                 core.load(sys, at, labels.addr(w as u64), false);
                 lv = lv.min(labels.get_raw(sys, w as u64));
@@ -143,11 +143,11 @@ pub fn reference_components<R: RemoteBackend>(sys: &MemSystem<R>, g: &CsrGraph) 
         }
         x
     }
+    let mut row = Vec::new();
     for v in 0..g.n {
-        let (lo, hi) = g.row_bounds_raw(sys, v);
-        for e in lo..hi {
-            let w = g.adj(sys, v, e).0 as u64;
-            let (a, b) = (find(&mut parent, v as u32), find(&mut parent, w as u32));
+        g.row(sys, g.cursor(sys, v), &mut row);
+        for &(w, _) in &row {
+            let (a, b) = (find(&mut parent, v as u32), find(&mut parent, w));
             if a != b {
                 // Union by min id keeps roots canonical as we go.
                 let (lo_id, hi_id) = (a.min(b), a.max(b));
@@ -172,7 +172,8 @@ pub fn validate_cc<R: RemoteBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph500::{build_csr_with, CsrLayout, Graph500Config};
+    use crate::graph500::tests::build;
+    use crate::graph500::{CsrLayout, Graph500Config};
     use thymesim_mem::{
         shared_dram, Addr, AddressMap, Arena, CacheConfig, DramConfig, NoRemote, SysTiming,
     };
@@ -190,7 +191,7 @@ mod tests {
     fn run(layout: CsrLayout, gcfg: &Graph500Config) -> (CcReport, bool) {
         let mut s = sys();
         let mut arena = Arena::new(Addr(0), 256 << 20);
-        let g = build_csr_with(gcfg, &mut s, &mut arena, layout);
+        let g = build(gcfg, &mut s, &mut arena, layout);
         let labels: SimVec<u32> = arena.alloc_vec(g.n.max(1));
         let report = cc(&CcConfig::default(), &mut s, &g, &labels, Time::ZERO);
         let ok = validate_cc(&s, &g, &labels);
@@ -245,7 +246,7 @@ mod tests {
         let gcfg = Graph500Config::tiny();
         let mut s = sys();
         let mut arena = Arena::new(Addr(0), 256 << 20);
-        let g = build_csr_with(&gcfg, &mut s, &mut arena, CsrLayout::Flat);
+        let g = build(&gcfg, &mut s, &mut arena, CsrLayout::Flat);
         let labels: SimVec<u32> = arena.alloc_vec(g.n);
         let report = cc(&CcConfig::default(), &mut s, &g, &labels, Time::ZERO);
         let reference = reference_components(&s, &g);

@@ -13,9 +13,10 @@
 //!
 //! ## The CSR accessor seam
 //!
-//! All kernels reach adjacency through [`CsrGraph::adj`] (per edge) or
-//! [`CsrGraph::row_from`] (a row suffix from a [`RowCursor`]) instead of
-//! indexing a raw array. Both hand out a neighbour and the address to
+//! All kernels reach adjacency through one reader, [`CsrGraph::row`],
+//! which decodes a row from a [`RowCursor`] ([`CsrGraph::cursor`] at the
+//! row start, [`CsrGraph::seek`] past a value) to its end, instead of
+//! indexing a raw array. It hands out each neighbour and the address to
 //! time it at, which lets two storage layouts coexist behind one type:
 //!
 //! * **Flat** — one `u32` per directed edge, the classic CSR.
@@ -23,6 +24,11 @@
 //!   runs). Rows are sorted ascending, so deltas are non-negative and
 //!   most fit one byte; scale 22–24 graphs fit the simulated lender
 //!   footprint that a flat CSR would overflow.
+//!
+//! Every graph is built by [`build_from_edges`] from an edge list
+//! ([`kronecker_edges`] or [`degree_ordered_edges`]) into one arena or
+//! into the local and remote arenas a [`GraphPlacement`] names
+//! ([`CsrArenas`]).
 //!
 //! Adjacency rows are kept **sorted** in both layouts: sorting is what
 //! makes delta encoding valid and what the triangle-counting kernel's
@@ -34,8 +40,7 @@
 //! disaggregated hardware.
 
 use crate::issue::Core;
-use std::cell::RefCell;
-use thymesim_mem::{Addr, Arena, MemSystem, RemoteBackend, SimVec};
+use thymesim_mem::{Addr, Arena, MemSystem, RemoteBackend, Scalar, SimVec};
 use thymesim_sim::{Dur, Time, Xoshiro256};
 
 /// Kronecker initiator probabilities from the Graph500 specification.
@@ -154,29 +159,42 @@ enum AdjStorage {
     },
 }
 
-/// One decoded adjacency row (compressed layout only). Kernels sweep
-/// rows, so a single-row cache makes decode cost O(deg) once per visit
-/// instead of O(deg) per edge.
-#[derive(Default)]
-struct RowCache {
-    row: Option<u64>,
-    lo: u64,
-    vals: Vec<u32>,
-    /// Each entry's first varint byte — the address a timed access for
-    /// that edge lands on.
-    addrs: Vec<Addr>,
-}
-
-/// A resumable position in one adjacency row: the next entry's index
-/// (flat) or the byte offset of its varint (compressed), and the value
-/// that varint's delta is taken from (0 at the row start). Rows are
-/// sorted, so the entries above any value are one suffix, and a cursor
-/// at its start is all a kernel keeps to revisit it without decoding
-/// the prefix again.
+/// A position in one adjacency row: the next entry's index (flat) or
+/// the byte offset of its varint (compressed), the position ending the
+/// row, and the value the varint's delta is taken from (0 at the row
+/// start). Rows are sorted, so the entries above any value are one
+/// suffix, and a cursor at its start is all a kernel keeps to revisit it
+/// without decoding the prefix again.
 #[derive(Clone, Copy, Debug)]
 pub struct RowCursor {
     pos: u64,
+    end: u64,
     base: u32,
+}
+
+impl RowCursor {
+    /// Decode the LEB128 delta varint at the cursor and advance past it:
+    /// the entry's value and the address of its first byte.
+    #[inline]
+    fn next_varint<R: RemoteBackend>(
+        &mut self,
+        sys: &MemSystem<R>,
+        bytes: &SimVec<u8>,
+    ) -> (u32, Addr) {
+        let at = bytes.addr(self.pos);
+        let (mut delta, mut shift) = (0u32, 0u32);
+        loop {
+            let b = bytes.get_raw(sys, self.pos);
+            self.pos += 1;
+            delta |= ((b & 0x7f) as u32) << shift;
+            if b & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
+        }
+        self.base += delta;
+        (self.base, at)
+    }
 }
 
 /// The graph in CSR form, living in simulated memory. Adjacency rows are
@@ -190,7 +208,6 @@ pub struct CsrGraph {
     adj: AdjStorage,
     /// Edge weights (flat layouts only; compressed graphs are unweighted).
     weights: Option<SimVec<u32>>,
-    cache: RefCell<RowCache>,
 }
 
 impl CsrGraph {
@@ -208,102 +225,67 @@ impl CsrGraph {
         (self.xadj.get_raw(sys, v), self.xadj.get_raw(sys, v + 1))
     }
 
-    /// Cursor at row `v`'s first entry, and the position ending the row.
-    fn row_span<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64) -> (RowCursor, u64) {
+    /// Cursor at row `v`'s first entry.
+    pub fn cursor<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64) -> RowCursor {
         let (pos, end) = match &self.adj {
             AdjStorage::Flat { .. } => self.row_bounds_raw(sys, v),
             AdjStorage::Compressed { row_off, .. } => {
                 (row_off.get_raw(sys, v), row_off.get_raw(sys, v + 1))
             }
         };
-        (RowCursor { pos, base: 0 }, end)
-    }
-
-    /// Decode the entry at `cur` and advance past it.
-    #[inline]
-    fn step<R: RemoteBackend>(&self, sys: &MemSystem<R>, cur: &mut RowCursor) -> (u32, Addr) {
-        match &self.adj {
-            AdjStorage::Flat { adj } => {
-                let e = cur.pos;
-                cur.pos += 1;
-                (adj.get_raw(sys, e), adj.addr(e))
-            }
-            AdjStorage::Compressed { bytes, .. } => {
-                let at = bytes.addr(cur.pos);
-                let (delta, next) = read_varint(sys, bytes, cur.pos);
-                cur.base += delta as u32;
-                cur.pos = next;
-                (cur.base, at)
-            }
-        }
+        RowCursor { pos, end, base: 0 }
     }
 
     /// Cursor at row `v`'s first entry `>= min` (the row end if none).
-    /// Untimed, O(deg) for the compressed layout: a kernel that revisits
-    /// a row's suffix seeks once and keeps the cursor.
+    /// Untimed, O(deg): a kernel that revisits a row's suffix seeks once
+    /// and keeps the cursor.
     pub fn seek<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64, min: u32) -> RowCursor {
-        let (mut cur, end) = self.row_span(sys, v);
-        while cur.pos < end {
-            let mut next = cur;
-            if self.step(sys, &mut next).0 >= min {
-                break;
+        let mut cur = self.cursor(sys, v);
+        match &self.adj {
+            AdjStorage::Flat { adj } => {
+                while cur.pos < cur.end && adj.get_raw(sys, cur.pos) < min {
+                    cur.pos += 1;
+                }
             }
-            cur = next;
+            AdjStorage::Compressed { bytes, .. } => {
+                while cur.pos < cur.end {
+                    let mut next = cur;
+                    if next.next_varint(sys, bytes).0 >= min {
+                        break;
+                    }
+                    cur = next;
+                }
+            }
         }
         cur
     }
 
-    /// Untimed decode of row `v` from `from` to its end, handing `f`
-    /// each neighbour in order and the address a timed read of it lands
-    /// on — the entry itself when flat, its first encoded byte when
-    /// compressed.
-    pub fn row_from<R: RemoteBackend>(
+    /// The one row reader: untimed decode from `cur` to its row's end into
+    /// `out` (cleared first), each neighbour in order with the address a
+    /// timed read of it lands on — the entry itself when flat, its first
+    /// encoded byte when compressed. The caller issues the accesses (or
+    /// not, for references and validation).
+    pub fn row<R: RemoteBackend>(
         &self,
         sys: &MemSystem<R>,
-        v: u64,
-        from: RowCursor,
-        mut f: impl FnMut(u32, Addr),
+        mut cur: RowCursor,
+        out: &mut Vec<(u32, Addr)>,
     ) {
-        let (mut cur, end) = (from, self.row_span(sys, v).1);
-        while cur.pos < end {
-            let (w, at) = self.step(sys, &mut cur);
-            f(w, at);
-        }
-    }
-
-    /// Directed edge `e` (which must lie in row `v`): the neighbour and
-    /// the address a timed read of it lands on. Untimed: the caller
-    /// issues the access (or not, for references and validation).
-    pub fn adj<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64, e: u64) -> (u32, Addr) {
+        out.clear();
         match &self.adj {
-            AdjStorage::Flat { adj } => (adj.get_raw(sys, e), adj.addr(e)),
-            AdjStorage::Compressed { .. } => {
-                let mut c = self.cache.borrow_mut();
-                if c.row != Some(v) {
-                    let c = &mut *c;
-                    c.vals.clear();
-                    c.addrs.clear();
-                    self.row_from(sys, v, self.row_span(sys, v).0, |w, at| {
-                        c.vals.push(w);
-                        c.addrs.push(at);
-                    });
-                    c.row = Some(v);
-                    c.lo = self.xadj.get_raw(sys, v);
+            AdjStorage::Flat { adj } => {
+                out.extend((cur.pos..cur.end).map(|e| (adj.get_raw(sys, e), adj.addr(e))));
+            }
+            AdjStorage::Compressed { bytes, .. } => {
+                while cur.pos < cur.end {
+                    out.push(cur.next_varint(sys, bytes));
                 }
-                let idx = (e - c.lo) as usize;
-                (c.vals[idx], c.addrs[idx])
             }
         }
     }
 
-    /// Untimed decode of row `v`'s full (sorted) neighbour list into `out`.
-    pub fn neighbors_raw<R: RemoteBackend>(&self, sys: &MemSystem<R>, v: u64, out: &mut Vec<u32>) {
-        out.clear();
-        self.row_from(sys, v, self.row_span(sys, v).0, |w, _| out.push(w));
-    }
-
     /// Weight of directed edge `e` and its address, untimed like
-    /// [`CsrGraph::adj`]. Panics on weightless (compressed) graphs —
+    /// [`CsrGraph::row`]. Panics on weightless (compressed) graphs —
     /// SSSP requires a flat weighted build.
     pub fn weight<R: RemoteBackend>(&self, sys: &MemSystem<R>, e: u64) -> (u32, Addr) {
         let w = self
@@ -325,26 +307,6 @@ fn write_varint(out: &mut Vec<u8>, mut x: u64) {
         }
         out.push(b | 0x80);
     }
-}
-
-/// Read a LEB128 varint at byte `pos`, returning `(value, next_pos)`.
-fn read_varint<R: RemoteBackend>(
-    sys: &MemSystem<R>,
-    bytes: &SimVec<u8>,
-    mut pos: u64,
-) -> (u64, u64) {
-    let mut x = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes.get_raw(sys, pos);
-        pos += 1;
-        x |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    (x, pos)
 }
 
 /// Generate a Kronecker edge list per the Graph500 reference (including
@@ -539,145 +501,101 @@ fn encode_rows(host: &HostCsr) -> (Vec<u64>, Vec<u8>) {
     (row_off, bytes)
 }
 
-fn upload_u64s<R: RemoteBackend>(sys: &mut MemSystem<R>, dst: &SimVec<u64>, src: &[u64]) {
+fn upload<R: RemoteBackend, T: Scalar>(sys: &mut MemSystem<R>, dst: &SimVec<T>, src: &[T]) {
     for (i, &x) in src.iter().enumerate() {
         dst.set_raw(sys, i as u64, x);
     }
 }
 
-fn upload_u32s<R: RemoteBackend>(sys: &mut MemSystem<R>, dst: &SimVec<u32>, src: &[u32]) {
-    for (i, &x) in src.iter().enumerate() {
-        dst.set_raw(sys, i as u64, x);
+/// Where a CSR's arrays are allocated: all in one arena, or each in the
+/// local or remote arena its placement names.
+pub enum CsrArenas<'a> {
+    One(&'a mut Arena),
+    Placed {
+        local: &'a mut Arena,
+        remote: &'a mut Arena,
+        placement: GraphPlacement,
+    },
+}
+
+impl CsrArenas<'_> {
+    /// Allocate `len` elements of `array` (a compressed row's offsets and
+    /// bytes are both [`GraphArray::Adj`]).
+    pub fn alloc<T: Scalar>(&mut self, array: GraphArray, len: u64) -> SimVec<T> {
+        match self {
+            CsrArenas::One(arena) => arena.alloc_vec(len),
+            CsrArenas::Placed {
+                local,
+                remote,
+                placement,
+            } => {
+                if placement.remote(array) {
+                    remote.alloc_vec(len)
+                } else {
+                    local.alloc_vec(len)
+                }
+            }
+        }
     }
 }
 
-/// Build a CSR from an explicit edge list in the requested layout
-/// (untimed — graph construction is not part of the timed kernels).
-/// Compressed builds are unweighted.
-pub(crate) fn build_from_edges<R: RemoteBackend>(
+/// Build a CSR from an edge list in the requested layout (untimed —
+/// graph construction is not part of the timed kernels). Allocates
+/// `xadj`, then the adjacency, then the weights (flat; compressed builds
+/// are unweighted). Callers pass [`kronecker_edges`] or, for triangle
+/// counting's oriented wedge merges, [`degree_ordered_edges`].
+pub fn build_from_edges<R: RemoteBackend>(
     cfg: &Graph500Config,
     sys: &mut MemSystem<R>,
-    arena: &mut Arena,
+    arenas: &mut CsrArenas,
     layout: CsrLayout,
     edges: &[(u32, u32)],
 ) -> CsrGraph {
     let host = host_csr(cfg, edges);
     let n = cfg.vertices();
     let m2 = edges.len() as u64 * 2;
-    let xadj: SimVec<u64> = arena.alloc_vec(n + 1);
-    upload_u64s(sys, &xadj, &host.xadj);
-    match layout {
+    let xadj = arenas.alloc(GraphArray::Xadj, n + 1);
+    upload(sys, &xadj, &host.xadj);
+    let (adj, weights) = match layout {
         CsrLayout::Flat => {
-            let adj: SimVec<u32> = arena.alloc_vec(m2.max(1));
-            let weights: SimVec<u32> = arena.alloc_vec(m2.max(1));
-            upload_u32s(sys, &adj, &host.adj);
-            upload_u32s(sys, &weights, &host.weights);
-            CsrGraph {
-                n,
-                m2,
-                xadj,
-                adj: AdjStorage::Flat { adj },
-                weights: Some(weights),
-                cache: RefCell::new(RowCache::default()),
-            }
+            let adj = arenas.alloc(GraphArray::Adj, m2.max(1));
+            let weights = arenas.alloc(GraphArray::Weights, m2.max(1));
+            upload(sys, &adj, &host.adj);
+            upload(sys, &weights, &host.weights);
+            (AdjStorage::Flat { adj }, Some(weights))
         }
         CsrLayout::Compressed => {
             let (row_off_h, bytes_h) = encode_rows(&host);
-            let row_off: SimVec<u64> = arena.alloc_vec(n + 1);
-            upload_u64s(sys, &row_off, &row_off_h);
-            let bytes: SimVec<u8> = arena.alloc_vec((bytes_h.len() as u64).max(1));
-            for (i, &b) in bytes_h.iter().enumerate() {
-                bytes.set_raw(sys, i as u64, b);
-            }
-            CsrGraph {
-                n,
-                m2,
-                xadj,
-                adj: AdjStorage::Compressed {
-                    row_off,
-                    bytes,
-                    encoded_len: bytes_h.len() as u64,
-                },
-                weights: None,
-                cache: RefCell::new(RowCache::default()),
-            }
+            let encoded_len = bytes_h.len() as u64;
+            let row_off = arenas.alloc(GraphArray::Adj, n + 1);
+            upload(sys, &row_off, &row_off_h);
+            let bytes = arenas.alloc(GraphArray::Adj, encoded_len.max(1));
+            upload(sys, &bytes, &bytes_h);
+            let adj = AdjStorage::Compressed {
+                row_off,
+                bytes,
+                encoded_len,
+            };
+            (adj, None)
         }
+    };
+    CsrGraph {
+        n,
+        m2,
+        xadj,
+        adj,
+        weights,
     }
 }
 
-/// Build the CSR in simulated memory (flat, weighted — the historical
-/// entry point BFS/SSSP/PageRank use).
+/// Build the flat, weighted Kronecker CSR in one arena.
 pub fn build_csr<R: RemoteBackend>(
     cfg: &Graph500Config,
     sys: &mut MemSystem<R>,
     arena: &mut Arena,
 ) -> CsrGraph {
-    build_csr_with(cfg, sys, arena, CsrLayout::Flat)
-}
-
-/// Build the CSR in the requested layout.
-pub fn build_csr_with<R: RemoteBackend>(
-    cfg: &Graph500Config,
-    sys: &mut MemSystem<R>,
-    arena: &mut Arena,
-    layout: CsrLayout,
-) -> CsrGraph {
-    let edges = kronecker_edges(cfg);
-    build_from_edges(cfg, sys, arena, layout, &edges)
-}
-
-/// Build the CSR relabelled by degree rank (triangle counting's oriented
-/// wedge merges need it) in the requested layout.
-pub fn build_csr_degree_ordered<R: RemoteBackend>(
-    cfg: &Graph500Config,
-    sys: &mut MemSystem<R>,
-    arena: &mut Arena,
-    layout: CsrLayout,
-) -> CsrGraph {
-    let edges = degree_ordered_edges(cfg);
-    build_from_edges(cfg, sys, arena, layout, &edges)
-}
-
-/// Build the CSR with per-array placement across two arenas (flat,
-/// weighted — the page-migration studies sweep placements over it).
-pub fn build_csr_placed<R: RemoteBackend>(
-    cfg: &Graph500Config,
-    sys: &mut MemSystem<R>,
-    local: &mut Arena,
-    remote: &mut Arena,
-    placement: GraphPlacement,
-) -> CsrGraph {
-    let edges = kronecker_edges(cfg);
-    let host = host_csr(cfg, &edges);
-    let n = cfg.vertices();
-    let m2 = edges.len() as u64 * 2;
-
-    let xadj: SimVec<u64> = if placement.xadj_remote {
-        remote.alloc_vec(n + 1)
-    } else {
-        local.alloc_vec(n + 1)
-    };
-    let adj: SimVec<u32> = if placement.adj_remote {
-        remote.alloc_vec(m2.max(1))
-    } else {
-        local.alloc_vec(m2.max(1))
-    };
-    let weights: SimVec<u32> = if placement.weights_remote {
-        remote.alloc_vec(m2.max(1))
-    } else {
-        local.alloc_vec(m2.max(1))
-    };
-    upload_u64s(sys, &xadj, &host.xadj);
-    upload_u32s(sys, &adj, &host.adj);
-    upload_u32s(sys, &weights, &host.weights);
-    CsrGraph {
-        n,
-        m2,
-        xadj,
-        adj: AdjStorage::Flat { adj },
-        weights: Some(weights),
-        cache: RefCell::new(RowCache::default()),
-    }
+    let mut one = CsrArenas::One(arena);
+    build_from_edges(cfg, sys, &mut one, CsrLayout::Flat, &kronecker_edges(cfg))
 }
 
 /// Pick `roots` distinct vertices with non-zero degree (Graph500 rule).
@@ -740,6 +658,11 @@ impl Graph500Report {
         }
     }
 }
+
+/// Edges per work item in BFS and SSSP, as in the reference OpenMP code:
+/// hub adjacency lists are chunked across cores (one adj cache line per
+/// chunk), or a single heavy-tailed hub would serialize a whole level.
+const EDGE_CHUNK: usize = 32;
 
 /// The gang of logical cores traversing a frontier in lockstep levels.
 struct Gang {
@@ -819,30 +742,23 @@ pub fn bfs<R: RemoteBackend>(
     let mut reached = 1u64;
     let mut end = start;
     let mut level = 0u64;
+    let mut row = Vec::new();
 
     while !frontier.is_empty() {
         // Phase marker opens at level *start* so every access of the
         // level attributes to it; the span below closes at the barrier.
         thymesim_telemetry::phase_begin("bfs.level", Some(level));
         let mut next: Vec<u32> = Vec::new();
-        // Edge-parallel traversal, as in the reference OpenMP code: hub
-        // adjacency lists are chunked across cores (one adj cache line
-        // per chunk), or a single heavy-tailed hub would serialize the
-        // whole level.
-        const EDGE_CHUNK: u64 = 32;
         for &v in frontier.iter() {
             let c = gang.pick_core();
             // Row bounds: two sequential u64 reads (usually one line).
             gang.access(c, sys, g.xadj.addr(v as u64), false);
             gang.access(c, sys, g.xadj.addr(v as u64 + 1), false);
-            let (lo, hi) = g.row_bounds_raw(sys, v as u64);
-            let mut chunk_lo = lo;
-            while chunk_lo < hi {
-                let chunk_hi = (chunk_lo + EDGE_CHUNK).min(hi);
+            g.row(sys, g.cursor(sys, v as u64), &mut row);
+            for chunk in row.chunks(EDGE_CHUNK) {
                 let c = gang.pick_core();
-                for e in chunk_lo..chunk_hi {
+                for &(w, wa) in chunk {
                     edges_traversed += 1;
-                    let (w, wa) = g.adj(sys, v as u64, e);
                     gang.access(c, sys, wa, false);
                     // Check-and-claim the neighbour (read + cond. write).
                     gang.access(c, sys, parent.addr(w as u64), false);
@@ -853,7 +769,6 @@ pub fn bfs<R: RemoteBackend>(
                         next.push(w);
                     }
                 }
-                chunk_lo = chunk_hi;
             }
         }
         let lvl_start = end;
@@ -899,6 +814,7 @@ pub fn sssp<R: RemoteBackend>(
     let mut edges_traversed = 0u64;
     let mut end = start;
     let delta = cfg.delta.max(1);
+    let mut row = Vec::new();
 
     let mut k = 0usize;
     while k < buckets.len() {
@@ -915,15 +831,12 @@ pub fn sssp<R: RemoteBackend>(
             // Timed read of the settled distance and the row bounds.
             gang.access(c, sys, dist.addr(v as u64), false);
             gang.access(c, sys, g.xadj.addr(v as u64), false);
-            let (lo, hi) = g.row_bounds_raw(sys, v as u64);
-            const EDGE_CHUNK: u64 = 32;
-            let mut chunk_lo = lo;
-            while chunk_lo < hi {
-                let chunk_hi = (chunk_lo + EDGE_CHUNK).min(hi);
+            let lo = g.xadj.get_raw(sys, v as u64);
+            g.row(sys, g.cursor(sys, v as u64), &mut row);
+            for (chunk, chunk_lo) in row.chunks(EDGE_CHUNK).zip((lo..).step_by(EDGE_CHUNK)) {
                 let c = gang.pick_core();
-                for e in chunk_lo..chunk_hi {
+                for (&(w, wa), e) in chunk.iter().zip(chunk_lo..) {
                     edges_traversed += 1;
-                    let (w, wa) = g.adj(sys, v as u64, e);
                     gang.access(c, sys, wa, false);
                     let (wt, wta) = g.weight(sys, e);
                     gang.access(c, sys, wta, false);
@@ -939,7 +852,6 @@ pub fn sssp<R: RemoteBackend>(
                         buckets[nk].push(w);
                     }
                 }
-                chunk_lo = chunk_hi;
             }
         }
         end = gang.barrier();
@@ -963,12 +875,12 @@ pub fn reference_levels<R: RemoteBackend>(sys: &MemSystem<R>, g: &CsrGraph, root
     level[root as usize] = 0;
     let mut frontier = vec![root];
     let mut d = 0;
+    let mut row = Vec::new();
     while !frontier.is_empty() {
         let mut next = Vec::new();
         for &v in &frontier {
-            let (lo, hi) = g.row_bounds_raw(sys, v as u64);
-            for e in lo..hi {
-                let w = g.adj(sys, v as u64, e).0;
+            g.row(sys, g.cursor(sys, v as u64), &mut row);
+            for &(w, _) in &row {
                 if level[w as usize] == INF {
                     level[w as usize] = d + 1;
                     next.push(w);
@@ -1017,13 +929,14 @@ pub fn reference_sssp<R: RemoteBackend>(sys: &MemSystem<R>, g: &CsrGraph, root: 
     dist[root as usize] = 0;
     let mut heap = BinaryHeap::new();
     heap.push(Reverse((0u32, root)));
+    let mut row = Vec::new();
     while let Some(Reverse((d, v))) = heap.pop() {
         if d > dist[v as usize] {
             continue;
         }
-        let (lo, hi) = g.row_bounds_raw(sys, v as u64);
-        for e in lo..hi {
-            let w = g.adj(sys, v as u64, e).0;
+        let lo = g.xadj.get_raw(sys, v as u64);
+        g.row(sys, g.cursor(sys, v as u64), &mut row);
+        for (&(w, _), e) in row.iter().zip(lo..) {
             let wt = g.weight(sys, e).0;
             let nd = d.saturating_add(wt);
             if nd < dist[w as usize] {
@@ -1088,11 +1001,34 @@ pub fn run_sssp_benchmark<R: RemoteBackend>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use thymesim_mem::{
         shared_dram, Addr, AddressMap, CacheConfig, DramConfig, NoRemote, SysTiming,
     };
+
+    /// The Kronecker graph of `cfg` in `layout`, built into one arena.
+    pub(crate) fn build<R: RemoteBackend>(
+        cfg: &Graph500Config,
+        sys: &mut MemSystem<R>,
+        arena: &mut Arena,
+        layout: CsrLayout,
+    ) -> CsrGraph {
+        build_from_edges(
+            cfg,
+            sys,
+            &mut CsrArenas::One(arena),
+            layout,
+            &kronecker_edges(cfg),
+        )
+    }
+
+    /// Row `v`'s neighbours, in order.
+    pub(crate) fn values<R: RemoteBackend>(sys: &MemSystem<R>, g: &CsrGraph, v: u64) -> Vec<u32> {
+        let mut row = Vec::new();
+        g.row(sys, g.cursor(sys, v), &mut row);
+        row.into_iter().map(|(w, _)| w).collect()
+    }
 
     fn sys() -> MemSystem<NoRemote> {
         MemSystem::new(
@@ -1165,10 +1101,9 @@ mod tests {
         for layout in [CsrLayout::Flat, CsrLayout::Compressed] {
             let mut s = sys();
             let mut arena = Arena::new(Addr(0), 256 << 20);
-            let g = build_csr_with(&cfg, &mut s, &mut arena, layout);
-            let mut row = Vec::new();
+            let g = build(&cfg, &mut s, &mut arena, layout);
             for v in 0..g.n {
-                g.neighbors_raw(&s, v, &mut row);
+                let row = values(&s, &g, v);
                 assert!(
                     row.windows(2).all(|w| w[0] <= w[1]),
                     "row {v} not sorted under {layout:?}"
@@ -1183,19 +1118,20 @@ mod tests {
         let (sf, gf, _af) = setup(&cfg);
         let mut sc = sys();
         let mut ac = Arena::new(Addr(0), 256 << 20);
-        let gc = build_csr_with(&cfg, &mut sc, &mut ac, CsrLayout::Compressed);
+        let gc = build(&cfg, &mut sc, &mut ac, CsrLayout::Compressed);
         assert_eq!(gf.n, gc.n);
         assert_eq!(gf.m2, gc.m2);
-        let (mut rf, mut rc) = (Vec::new(), Vec::new());
         for v in 0..gf.n {
             assert_eq!(
                 gf.row_bounds_raw(&sf, v),
                 gc.row_bounds_raw(&sc, v),
                 "row bounds diverge at {v}"
             );
-            gf.neighbors_raw(&sf, v, &mut rf);
-            gc.neighbors_raw(&sc, v, &mut rc);
-            assert_eq!(rf, rc, "row {v} decodes differently");
+            assert_eq!(
+                values(&sf, &gf, v),
+                values(&sc, &gc, v),
+                "row {v} decodes differently"
+            );
         }
         assert!(
             gc.adjacency_bytes() < gf.adjacency_bytes(),
@@ -1206,11 +1142,74 @@ mod tests {
     }
 
     #[test]
+    fn placed_build_puts_each_array_in_its_arena() {
+        // Two disjoint arenas and a mixed placement (and its complement):
+        // every array, `Out` included, lies in the arena its placement
+        // names, and every row reads as the one-arena build of the edges.
+        let cfg = Graph500Config::tiny();
+        let edges = kronecker_edges(&cfg);
+        let (mut s1, mut one) = (sys(), Arena::new(Addr(0), 256 << 20));
+        let reference = build(&cfg, &mut s1, &mut one, CsrLayout::Flat);
+        let split = 128u64 << 20;
+        let in_remote = |a: Addr| a.0 >= split;
+        let mixed = GraphPlacement {
+            xadj_remote: false,
+            adj_remote: true,
+            weights_remote: false,
+            out_remote: true,
+        };
+        let complement = GraphPlacement {
+            xadj_remote: true,
+            adj_remote: false,
+            weights_remote: true,
+            out_remote: false,
+        };
+        for placement in [mixed, complement] {
+            let mut s = sys();
+            let mut local = Arena::new(Addr(0), split);
+            let mut remote = Arena::new(Addr(split), split);
+            let mut arenas = CsrArenas::Placed {
+                local: &mut local,
+                remote: &mut remote,
+                placement,
+            };
+            let g = build_from_edges(&cfg, &mut s, &mut arenas, CsrLayout::Flat, &edges);
+            let out: SimVec<u32> = arenas.alloc(GraphArray::Out, g.n);
+            let (AdjStorage::Flat { adj }, Some(weights)) = (&g.adj, g.weights) else {
+                panic!("a flat build is weighted");
+            };
+            let spans = [
+                (GraphArray::Xadj, g.xadj.base(), g.xadj.addr(g.n)),
+                (GraphArray::Adj, adj.base(), adj.addr(g.m2 - 1)),
+                (GraphArray::Weights, weights.base(), weights.addr(g.m2 - 1)),
+                (GraphArray::Out, out.base(), out.addr(g.n - 1)),
+            ];
+            for (array, first, last) in spans {
+                let remote = placement.remote(array);
+                assert_eq!(
+                    in_remote(first),
+                    remote,
+                    "{array:?} starts in the wrong arena"
+                );
+                assert_eq!(in_remote(last), remote, "{array:?} ends in the wrong arena");
+            }
+            for v in 0..g.n {
+                assert_eq!(values(&s, &g, v), values(&s1, &reference, v), "row {v}");
+                let (lo, hi) = g.row_bounds_raw(&s, v);
+                assert_eq!((lo, hi), reference.row_bounds_raw(&s1, v), "row {v} bounds");
+                for e in lo..hi {
+                    assert_eq!(g.weight(&s, e).0, reference.weight(&s1, e).0, "weight {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn bfs_validates_on_compressed_csr() {
         let cfg = Graph500Config::tiny();
         let mut s = sys();
         let mut arena = Arena::new(Addr(0), 256 << 20);
-        let g = build_csr_with(&cfg, &mut s, &mut arena, CsrLayout::Compressed);
+        let g = build(&cfg, &mut s, &mut arena, CsrLayout::Compressed);
         let parent: SimVec<u32> = arena.alloc_vec(g.n);
         let report = run_bfs_benchmark(&cfg, &mut s, &g, &parent, true);
         assert!(report.validated, "BFS on compressed CSR failed validation");
@@ -1259,7 +1258,7 @@ mod tests {
             for layout in [CsrLayout::Flat, CsrLayout::Compressed] {
                 let mut s = sys();
                 let mut arena = Arena::new(Addr(0), 256 << 20);
-                let g = build_csr_with(&cfg, &mut s, &mut arena, layout);
+                let g = build(&cfg, &mut s, &mut arena, layout);
                 assert_eq!(g.m2, 0);
                 let levels = reference_levels(&s, &g, 0);
                 assert_eq!(levels[0], 0);

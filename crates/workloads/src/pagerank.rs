@@ -78,6 +78,7 @@ pub fn pagerank<R: RemoteBackend>(
 
     let mut core = Core::new(cfg.mlp, start);
     let mut last_delta = 0.0;
+    let mut row = Vec::new();
 
     for _iter in 0..cfg.iterations {
         // Zero the next vector (timed sequential writes).
@@ -95,17 +96,15 @@ pub fn pagerank<R: RemoteBackend>(
             core.load(sys, at, state.rank.addr(v), false);
             let rv = state.rank.get_raw(sys, v);
             core.load(sys, at, g.xadj.addr(v), false);
-            let (lo, hi) = g.row_bounds_raw(sys, v);
-            let deg = hi - lo;
-            if deg == 0 {
+            g.row(sys, g.cursor(sys, v), &mut row);
+            if row.is_empty() {
                 core.retire(at, cfg.cpu_per_edge);
                 continue;
             }
-            let share = cfg.damping * rv / deg as f64;
-            for e in lo..hi {
+            let share = cfg.damping * rv / row.len() as f64;
+            for &(w, wa) in &row {
                 let at = core.slot();
                 // Sequential neighbour read (through the layout seam).
-                let (w, wa) = g.adj(sys, v, e);
                 core.load(sys, at, wa, false);
                 let w = w as u64;
                 // Random scatter into next[w] (read-modify-write).

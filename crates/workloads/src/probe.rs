@@ -43,10 +43,6 @@ impl ProbeConfig {
             ..ProbeConfig::default()
         }
     }
-
-    pub fn footprint_bytes(&self) -> u64 {
-        self.lines * 128
-    }
 }
 
 /// Probe result.

@@ -1,6 +1,6 @@
 //! Triangle counting — the GAP-suite TC kernel: ordered wedge checks
 //! over sorted adjacency. The graph is relabelled by degree rank
-//! ([`crate::graph500::build_csr_degree_ordered`]) so every edge is
+//! ([`crate::graph500::degree_ordered_edges`]) so every edge is
 //! oriented low→high and hub vertices keep near-empty oriented tails,
 //! bounding merge work at ~O(m^1.5).
 //!
@@ -67,34 +67,27 @@ pub fn tc<R: RemoteBackend>(
     let tails: Vec<RowCursor> = (0..g.n).map(|v| g.seek(sys, v, v as u32 + 1)).collect();
 
     thymesim_telemetry::phase_begin("tc.count", None);
+    let mut row: Vec<(u32, Addr)> = Vec::new();
     let mut tail_u: Vec<u32> = Vec::new();
     let mut tail_v: Vec<u32> = Vec::new();
-    let mut addrs: Vec<Addr> = Vec::new();
     for u in 0..g.n {
         // Timed sequential scan of u's xadj entry and full row; keep the
         // deduplicated oriented tail (neighbours strictly above u —
         // drops self-loops and parallel edges).
+        g.row(sys, g.cursor(sys, u), &mut row);
+        let entries = row.iter().map(|&(_, wa)| wa);
+        let run = std::iter::once(g.xadj.addr(u)).chain(entries);
+        core.scan(sys, run, false, cfg.cpu_per_step);
         tail_u.clear();
-        addrs.clear();
-        addrs.push(g.xadj.addr(u));
-        g.row_from(sys, u, g.seek(sys, u, 0), |w, wa| {
-            addrs.push(wa);
-            if (w as u64) > u && tail_u.last() != Some(&w) {
-                tail_u.push(w);
-            }
-        });
-        core.scan(sys, addrs.iter().copied(), false, cfg.cpu_per_step);
+        tail_u.extend(row.iter().map(|&(w, _)| w).filter(|&w| (w as u64) > u));
+        tail_u.dedup();
         for (i, &v) in tail_u.iter().enumerate() {
             // Timed sequential scan of v's tail run.
+            g.row(sys, tails[v as usize], &mut row);
+            core.scan(sys, row.iter().map(|&(_, wa)| wa), false, cfg.cpu_per_step);
             tail_v.clear();
-            addrs.clear();
-            g.row_from(sys, v as u64, tails[v as usize], |w, wa| {
-                addrs.push(wa);
-                if tail_v.last() != Some(&w) {
-                    tail_v.push(w);
-                }
-            });
-            core.scan(sys, addrs.iter().copied(), false, cfg.cpu_per_step);
+            tail_v.extend(row.iter().map(|&(w, _)| w));
+            tail_v.dedup();
             // Pure-CPU two-pointer merge: common elements of u's tail
             // past v and v's tail are triangles u<v<w.
             let (mut a, mut b) = (i + 1, 0usize);
@@ -133,8 +126,8 @@ pub fn reference_triangles<R: RemoteBackend>(sys: &MemSystem<R>, g: &CsrGraph) -
     let mut tails: Vec<Vec<u32>> = Vec::with_capacity(n);
     let mut row = Vec::new();
     for v in 0..g.n {
-        g.neighbors_raw(sys, v, &mut row);
-        let mut t: Vec<u32> = row.iter().copied().filter(|&w| (w as u64) > v).collect();
+        g.row(sys, g.cursor(sys, v), &mut row);
+        let mut t: Vec<u32> = row.iter().map(|e| e.0).filter(|&w| w as u64 > v).collect();
         t.dedup();
         tails.push(t);
     }
@@ -155,7 +148,9 @@ pub fn reference_triangles<R: RemoteBackend>(sys: &MemSystem<R>, g: &CsrGraph) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph500::{build_csr_degree_ordered, build_from_edges, CsrLayout, Graph500Config};
+    use crate::graph500::{
+        build_from_edges, degree_ordered_edges, CsrArenas, CsrLayout, Graph500Config,
+    };
     use thymesim_mem::{
         shared_dram, Addr, AddressMap, Arena, CacheConfig, DramConfig, MemSystem, NoRemote,
         SysTiming,
@@ -174,7 +169,14 @@ mod tests {
     fn run(layout: CsrLayout, gcfg: &Graph500Config) -> (TcReport, u64) {
         let mut s = sys();
         let mut arena = Arena::new(Addr(0), 256 << 20);
-        let g = build_csr_degree_ordered(gcfg, &mut s, &mut arena, layout);
+        let edges = degree_ordered_edges(gcfg);
+        let g = build_from_edges(
+            gcfg,
+            &mut s,
+            &mut CsrArenas::One(&mut arena),
+            layout,
+            &edges,
+        );
         let report = tc(&TcConfig::default(), &mut s, &g, Time::ZERO);
         let reference = reference_triangles(&s, &g);
         (report, reference)
@@ -219,7 +221,8 @@ mod tests {
         };
         let mut s = sys();
         let mut arena = Arena::new(Addr(0), 256 << 20);
-        let g = build_from_edges(&gcfg, &mut s, &mut arena, CsrLayout::Flat, &edges);
+        let mut arenas = CsrArenas::One(&mut arena);
+        let g = build_from_edges(&gcfg, &mut s, &mut arenas, CsrLayout::Flat, &edges);
         let report = tc(&TcConfig::default(), &mut s, &g, Time::ZERO);
         assert_eq!(report.triangles, 4);
         assert_eq!(reference_triangles(&s, &g), 4);
@@ -255,12 +258,11 @@ mod tests {
         for u in 0..g.n {
             let at = core.slot();
             core.load(sys, at, g.xadj.addr(u), false);
-            let (lo, hi) = g.row_bounds_raw(sys, u);
+            g.row(sys, g.cursor(sys, u), &mut nbrs);
             core.retire(at, cfg.cpu_per_step);
             tail_u.clear();
-            for e in lo..hi {
+            for &(w, wa) in &nbrs {
                 let at = core.slot();
-                let (w, wa) = g.adj(sys, u, e);
                 core.load(sys, at, wa, false);
                 if (w as u64) > u && tail_u.last() != Some(&w) {
                     tail_u.push(w);
@@ -268,13 +270,11 @@ mod tests {
                 core.retire(at, cfg.cpu_per_step);
             }
             for (i, &v) in tail_u.iter().enumerate() {
-                g.neighbors_raw(sys, v as u64, &mut nbrs);
-                let (vlo, _) = g.row_bounds_raw(sys, v as u64);
-                let first = nbrs.partition_point(|&x| x <= v);
+                g.row(sys, g.cursor(sys, v as u64), &mut nbrs);
+                let first = nbrs.partition_point(|&(x, _)| x <= v);
                 tail_v.clear();
-                for (k, &w) in nbrs.iter().enumerate().skip(first) {
+                for &(w, wa) in &nbrs[first..] {
                     let at = core.slot();
-                    let (_, wa) = g.adj(sys, v as u64, vlo + k as u64);
                     core.load(sys, at, wa, false);
                     if tail_v.last() != Some(&w) {
                         tail_v.push(w);
@@ -330,8 +330,15 @@ mod tests {
                     NoRemote,
                 );
                 let mut arena = Arena::new(Addr(0), 256 << 20);
-                let g =
-                    build_csr_degree_ordered(&Graph500Config::tiny(), &mut s, &mut arena, layout);
+                let gcfg = Graph500Config::tiny();
+                let mut arenas = CsrArenas::One(&mut arena);
+                let g = build_from_edges(
+                    &gcfg,
+                    &mut s,
+                    &mut arenas,
+                    layout,
+                    &degree_ordered_edges(&gcfg),
+                );
                 if traced {
                     thymesim_telemetry::install(thymesim_telemetry::TraceRecorder::with_window(
                         0, 50_000, 1_000_000,

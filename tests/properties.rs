@@ -381,7 +381,9 @@ proptest! {
             shared_dram, Addr, AddressMap, Arena, CacheConfig, DramConfig, MemSystem, NoRemote,
             SysTiming,
         };
-        use thymesim::workloads::graph500::{build_csr_with, CsrLayout, Graph500Config};
+        use thymesim::workloads::graph500::{
+            build_from_edges, kronecker_edges, CsrArenas, CsrLayout, Graph500Config,
+        };
         let gcfg = Graph500Config {
             scale,
             edgefactor,
@@ -398,7 +400,8 @@ proptest! {
                 NoRemote,
             );
             let mut arena = Arena::new(Addr(0), 64 << 20);
-            let g = build_csr_with(&gcfg, &mut s, &mut arena, layout);
+            let mut arenas = CsrArenas::One(&mut arena);
+            let g = build_from_edges(&gcfg, &mut s, &mut arenas, layout, &kronecker_edges(&gcfg));
             (s, g)
         };
         let (fs, fg) = build(CsrLayout::Flat);
@@ -420,10 +423,12 @@ proptest! {
         // Row-by-row: sorted in both layouts, byte-equal decode.
         let (mut fr, mut cr) = (Vec::new(), Vec::new());
         for v in 0..n {
-            fg.neighbors_raw(&fs, v, &mut fr);
-            cg.neighbors_raw(&cs, v, &mut cr);
-            prop_assert!(fr.windows(2).all(|w| w[0] <= w[1]), "row {v} unsorted");
-            prop_assert_eq!(&fr, &cr, "compressed row {} decodes differently", v);
+            fg.row(&fs, fg.cursor(&fs, v), &mut fr);
+            cg.row(&cs, cg.cursor(&cs, v), &mut cr);
+            let fv: Vec<u32> = fr.iter().map(|&(w, _)| w).collect();
+            let cv: Vec<u32> = cr.iter().map(|&(w, _)| w).collect();
+            prop_assert!(fv.windows(2).all(|w| w[0] <= w[1]), "row {v} unsorted");
+            prop_assert_eq!(&fv, &cv, "compressed row {} decodes differently", v);
         }
 
         // The varint layout never pads: it is at most the flat footprint
@@ -449,7 +454,9 @@ proptest! {
             SysTiming,
         };
         use thymesim::workloads::cc::{cc, reference_components, validate_cc, CcConfig};
-        use thymesim::workloads::graph500::{build_csr_with, CsrLayout, Graph500Config};
+        use thymesim::workloads::graph500::{
+            build_from_edges, kronecker_edges, CsrArenas, CsrLayout, Graph500Config,
+        };
         let gcfg = Graph500Config {
             scale,
             edgefactor,
@@ -466,7 +473,8 @@ proptest! {
             NoRemote,
         );
         let mut arena = Arena::new(Addr(0), 64 << 20);
-        let g = build_csr_with(&gcfg, &mut s, &mut arena, layout);
+        let mut arenas = CsrArenas::One(&mut arena);
+        let g = build_from_edges(&gcfg, &mut s, &mut arenas, layout, &kronecker_edges(&gcfg));
         let labels: thymesim::mem::SimVec<u32> = arena.alloc_vec(g.n.max(1));
         let report = cc(&CcConfig::default(), &mut s, &g, &labels, Time::ZERO);
         prop_assert!(report.converged);
