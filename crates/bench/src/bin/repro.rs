@@ -36,19 +36,6 @@
 //!   Tracing never changes `results/` — it is observational. A traced
 //!   sweep never reads the cache (a cache hit records nothing), so its
 //!   artifacts always cover the whole grid.
-//! * `--baseline-record[=<path>]` — after the run, snapshot every
-//!   sweep's merged per-stage means (and per-workload-phase means
-//!   within each stage) plus the merged time-weighted utilization mean
-//!   of every counter track into a baseline JSON (default
-//!   `results/baselines/<profile>.json`). Implies stage recording
-//!   (without writing trace files unless `--trace` is also given), and
-//!   with it simulating every point.
-//! * `--baseline-check[=<path>]` — compare the run's stage, phase and
-//!   counter-utilization means against the committed baseline with
-//!   per-band tolerances. Prints each offending delta — naming the
-//!   phase when the drift is phase-confined, and `counter <name>` when
-//!   it is utilization-confined — and exits 1 on drift (2 when the
-//!   baseline is missing/malformed or pins a different command).
 //!
 //! Any other argument after the command exits 2 naming it; the flag
 //! table is `thymesim_bench::Flags`.
@@ -86,7 +73,6 @@ fn main() {
             _ => usage_error(&format!("--jobs expects a positive integer, got '{v}'")),
         },
     };
-    let baseline = baseline_mode(&flags, &profile);
     let cache = if flags.get("--no-cache").is_some() {
         None
     } else {
@@ -120,14 +106,6 @@ fn main() {
         thymesim_telemetry::configure(thymesim_telemetry::TraceConfig {
             filter: filter.map(str::to_string),
             dir,
-            ..Default::default()
-        });
-    } else if let Some(mode) = &baseline {
-        // Baselines need the stage histograms but not the trace files:
-        // record everything in memory, write nothing under traces/.
-        eprintln!("# tracing: summary-only (for {})", mode.describe());
-        thymesim_telemetry::configure(thymesim_telemetry::TraceConfig {
-            artifacts: false,
             ..Default::default()
         });
     } else if cmd == "blame" {
@@ -167,9 +145,6 @@ fn main() {
         note_dropped_events();
         for (name, write) in ARTIFACTS {
             write_artifact(name, write());
-        }
-        if let Some(mode) = baseline {
-            run_baseline(mode, cmd, &profile);
         }
     }
 }
@@ -275,116 +250,6 @@ fn write_artifact(name: &str, outcome: std::io::Result<Option<PathBuf>>) {
                 .unwrap_or_else(|| PathBuf::from(name));
             eprintln!("# error: cannot write {}: {e}", path.display());
             std::process::exit(1);
-        }
-    }
-}
-
-// ------------------------------------------------------------ baseline
-
-enum BaselineMode {
-    Record(PathBuf),
-    Check(PathBuf),
-}
-
-impl BaselineMode {
-    fn describe(&self) -> String {
-        match self {
-            BaselineMode::Record(p) => format!("baseline record to {}", p.display()),
-            BaselineMode::Check(p) => format!("baseline check against {}", p.display()),
-        }
-    }
-}
-
-/// `--baseline-record[=path]`, else `--baseline-check[=path]`. The
-/// default path keys on the profile so quick/medium/paper baselines
-/// never collide.
-fn baseline_mode(flags: &Flags, profile: &Profile) -> Option<BaselineMode> {
-    let default = || PathBuf::from(format!("results/baselines/{}.json", profile.name));
-    let path = |given: Option<&str>| given.map_or_else(default, PathBuf::from);
-    if let Some(given) = flags.get("--baseline-record") {
-        return Some(BaselineMode::Record(path(given)));
-    }
-    flags
-        .get("--baseline-check")
-        .map(|given| BaselineMode::Check(path(given)))
-}
-
-/// Execute the baseline step after the experiments ran. `label` pins
-/// (command, profile) so a quick baseline is never compared against a
-/// paper-profile run.
-fn run_baseline(mode: BaselineMode, cmd: &str, profile: &Profile) {
-    use thymesim_telemetry::baseline::{Baseline, DEFAULT_REL_TOL};
-    let label = format!("{cmd} --profile {}", profile.name);
-    let atts = thymesim_telemetry::attributions();
-    let utils = thymesim_telemetry::utilizations();
-    let blames = thymesim_telemetry::blames();
-    if atts.is_empty() {
-        eprintln!("# baseline: no sweeps recorded stage data; nothing to do");
-        std::process::exit(2);
-    }
-    match mode {
-        BaselineMode::Record(path) => {
-            let b = Baseline::record(&label, &atts, &utils, &blames, DEFAULT_REL_TOL);
-            if let Some(dir) = path.parent() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("# baseline: cannot create directory {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            }
-            let text = serde_json::value_to_string_pretty(&serde::Serialize::to_value(&b));
-            if let Err(e) = std::fs::write(&path, text + "\n") {
-                eprintln!("# baseline: cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!(
-                "# baseline: recorded {} stages, {} counters and {} blame bands over {} sweeps to {}",
-                b.stage_count(),
-                b.counter_count(),
-                b.blame_count(),
-                b.sweeps.len(),
-                path.display()
-            );
-        }
-        BaselineMode::Check(path) => {
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!(
-                    "# baseline: cannot read {} ({e}); record one with --baseline-record",
-                    path.display()
-                );
-                std::process::exit(2);
-            });
-            let b: Baseline = serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("# baseline: {} is malformed: {e}", path.display());
-                std::process::exit(2);
-            });
-            if b.command != label {
-                eprintln!(
-                    "# baseline: {} pins '{}', this run is '{label}' — refusing to compare",
-                    path.display(),
-                    b.command
-                );
-                std::process::exit(2);
-            }
-            let drifts = b.check(&atts, &utils, &blames);
-            if drifts.is_empty() {
-                eprintln!(
-                    "# baseline: OK — {} stages, {} counters and {} blame bands within tolerance of {}",
-                    b.stage_count(),
-                    b.counter_count(),
-                    b.blame_count(),
-                    path.display()
-                );
-            } else {
-                eprintln!(
-                    "# baseline: DRIFT — {} band(s) outside tolerance of {}:",
-                    drifts.len(),
-                    path.display()
-                );
-                for d in &drifts {
-                    eprintln!("#   {d}");
-                }
-                std::process::exit(1);
-            }
         }
     }
 }

@@ -284,14 +284,12 @@ enum Takes {
 }
 
 /// Every flag `repro` accepts after its command.
-const FLAGS: [(&str, Takes); 8] = [
+const FLAGS: [(&str, Takes); 6] = [
     ("--profile", Takes::Value),
     ("--jobs", Takes::Value),
     ("--out", Takes::Value),
     ("--trace-out", Takes::Value),
     ("--trace", Takes::Optional),
-    ("--baseline-record", Takes::Optional),
-    ("--baseline-check", Takes::Optional),
     ("--no-cache", Takes::Nothing),
 ];
 

@@ -50,12 +50,19 @@ fn list_and_unknown_command_name_the_same_commands() {
 
 #[test]
 fn unknown_flags_and_stray_arguments_exit_2_naming_them() {
-    // The retired throughput-record flag, spelled in two pieces so the
-    // retired name only ever appears in the changelog.
+    // The retired throughput-record and stage-band flags, spelled in
+    // two pieces so the retired names only ever appear in the changelog.
     let retired = concat!("--bench", "-json");
     let retired_named = format!("'{retired}'");
+    let (check, record) = (
+        concat!("--baseline", "-check"),
+        concat!("--baseline", "-record=x"),
+    );
+    let (check_named, record_named) = (format!("'{check}'"), format!("'{record}'"));
     for (args, named) in [
         (&[retired, "x"][..], retired_named.as_str()),
+        (&[check], check_named.as_str()),
+        (&[record], record_named.as_str()),
         (
             &["--saturation-threshold", "0.8"],
             "'--saturation-threshold'",
@@ -87,7 +94,6 @@ fn every_accepted_flag_spelling_runs() {
     let dir = std::env::temp_dir().join(format!("thymesim-cmdtable-{}", std::process::id()));
     let path = |leaf: &str| dir.join(leaf).display().to_string();
     let (traces, out, out_eq) = (path("traces"), path("out"), path("out-eq"));
-    let baseline = format!("--baseline-check={}", path("baseline.json"));
     let out_eq = format!("--out={out_eq}");
     for args in [
         &["--profile", "quick"][..],
@@ -100,7 +106,6 @@ fn every_accepted_flag_spelling_runs() {
         &["--trace-out", &traces],
         &["--out", &out],
         &[&out_eq],
-        &[&baseline],
     ] {
         let run = repro_with(&[&["list"][..], args].concat());
         let stderr = String::from_utf8_lossy(&run.stderr);

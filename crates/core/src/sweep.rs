@@ -3,12 +3,12 @@
 //! module gives those sweeps one execution engine with three
 //! guarantees:
 //!
-//! 1. **Determinism independent of scheduling.** Each point's RNG seed
-//!    is derived from a content hash of its own configuration (sweep
-//!    name + schema version + the point's compact JSON), never from
-//!    thread identity, submission order, or wall-clock. Results are
-//!    collected back in grid order, so `--jobs 1` and `--jobs 64`
-//!    produce byte-identical reports.
+//! 1. **Determinism independent of scheduling.** A point's result is a
+//!    function of its own configuration alone: every seeded workload
+//!    takes its seed from that configuration, never from thread
+//!    identity, submission order, or wall-clock. Results are collected
+//!    back in grid order, so `--jobs 1` and `--jobs 64` produce
+//!    byte-identical reports.
 //! 2. **Point-parallel execution.** Points run on an OS-thread pool
 //!    ([`thymesim_sim::ordered_map`]); wall-clock scales with the
 //!    slowest point, not the sum.
@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use thymesim_sim::{ordered_map, SplitMix64};
+use thymesim_sim::ordered_map;
 
 /// Bump when result semantics change so stale cache entries can never
 /// be mistaken for current ones.
@@ -82,8 +82,9 @@ static SIMULATED_POINTS: AtomicU64 = AtomicU64::new(0);
 
 // ------------------------------------------------------------- context
 
-/// Handed to the point function: everything derived from the point's
-/// content hash.
+/// Handed to the point function: where the point sits in the grid and
+/// its cache key. Nothing in it feeds the simulation; a seeded workload
+/// carries its seed in the point's own configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepCtx {
     /// Grid position of this point (0-based) and grid size.
@@ -91,8 +92,6 @@ pub struct SweepCtx {
     pub total: usize,
     /// Content hash of (sweep name, schema, point config).
     pub key: u64,
-    /// Deterministic RNG seed for this point, derived from `key` alone.
-    pub seed: u64,
 }
 
 /// What a finished sweep reports beyond its results.
@@ -158,12 +157,10 @@ where
     // the same invariance for free.
     let tracing = thymesim_telemetry::sweep_traced(name);
     let pairs = ordered_map(&keyed, opts.jobs, |index, (config, key)| {
-        let mut mix = SplitMix64::new(*key);
         let ctx = SweepCtx {
             index,
             total,
             key: *key,
-            seed: mix.next_u64(),
         };
         let point_started = Instant::now();
         if let Some(dir) = opts.cache.as_ref().filter(|_| !tracing) {
@@ -303,8 +300,6 @@ mod tests {
     #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
     struct R {
         y: u64,
-        seed: u64,
-        noise: f64,
     }
 
     fn points() -> Vec<P> {
@@ -316,14 +311,8 @@ mod tests {
             .collect()
     }
 
-    fn work(ctx: SweepCtx, p: &P) -> R {
-        // Consume the seed the way a real experiment would.
-        let mut rng = SplitMix64::new(ctx.seed);
-        R {
-            y: p.x * 10,
-            seed: ctx.seed,
-            noise: (rng.next_u64() >> 11) as f64,
-        }
+    fn work(_ctx: SweepCtx, p: &P) -> R {
+        R { y: p.x * 10 }
     }
 
     #[test]
@@ -351,50 +340,6 @@ mod tests {
         assert_eq!(serial.results, parallel.results);
         assert_eq!(serial.simulated, 17);
         assert_eq!(parallel.simulated, 17);
-    }
-
-    #[test]
-    fn seeds_depend_on_content_not_order() {
-        let a = run_with(
-            "test/seeds",
-            &points(),
-            &SweepOptions {
-                jobs: 4,
-                cache: None,
-                progress: false,
-            },
-            work,
-        );
-        // Reversed grid: the same configs must get the same seeds.
-        let mut rev = points();
-        rev.reverse();
-        let b = run_with(
-            "test/seeds",
-            &rev,
-            &SweepOptions {
-                jobs: 4,
-                cache: None,
-                progress: false,
-            },
-            work,
-        );
-        for (i, r) in a.results.iter().enumerate() {
-            assert_eq!(r.seed, b.results[a.results.len() - 1 - i].seed);
-        }
-        // ...and a different sweep name must shift every seed.
-        let c = run_with(
-            "test/other-name",
-            &points(),
-            &SweepOptions {
-                jobs: 4,
-                cache: None,
-                progress: false,
-            },
-            work,
-        );
-        for (x, y) in a.results.iter().zip(&c.results) {
-            assert_ne!(x.seed, y.seed);
-        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * [`rng`] — self-contained deterministic generators (SplitMix64,
 //!   xoshiro256**) so results are stable across platforms and crate
 //!   versions;
-//! * [`stats`] — Welford accumulators, log-linear histograms, throughput
-//!   meters, and least-squares fits for the validation experiments.
+//! * [`stats`] — log-linear histograms and least-squares fits for the
+//!   validation experiments.
 //!
 //! Everything in thymesim that advances "time" goes through these types;
 //! no component reads wall-clock time, so every experiment is exactly
@@ -26,5 +26,5 @@ pub use pool::{default_jobs, ordered_map};
 pub use process::{run as run_processes, Process, RunStats, Step};
 pub use queue::EventQueue;
 pub use rng::{SplitMix64, Xoshiro256};
-pub use stats::{linear_fit, Histogram, LinearFit, SeriesRecorder, ThroughputMeter, Welford};
+pub use stats::{linear_fit, Histogram, LinearFit};
 pub use time::{Clock, Dur, Time};

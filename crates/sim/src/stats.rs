@@ -1,96 +1,8 @@
-//! Streaming statistics: Welford mean/variance, log-linear latency
-//! histograms with percentile queries, throughput meters, and a tiny
-//! least-squares helper used by the delay-injection validation experiment.
+//! Streaming statistics: log-linear latency histograms with percentile
+//! queries, and a tiny least-squares helper used by the delay-injection
+//! validation experiment.
 
-use crate::time::{Dur, Time};
-
-/// Numerically stable streaming mean/variance (Welford's algorithm).
-#[derive(Clone, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    pub fn new() -> Welford {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+use crate::time::Dur;
 
 /// HDR-style log-linear histogram over `u64` values (we store picoseconds).
 ///
@@ -259,100 +171,6 @@ impl Histogram {
     }
 }
 
-/// Counts bytes over simulated time to report sustained bandwidth.
-#[derive(Clone, Debug, Default)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    first: Option<Time>,
-    last: Time,
-}
-
-impl ThroughputMeter {
-    pub fn new() -> ThroughputMeter {
-        ThroughputMeter::default()
-    }
-
-    #[inline]
-    pub fn record(&mut self, at: Time, bytes: u64) {
-        self.bytes += bytes;
-        if self.first.is_none() {
-            self.first = Some(at);
-        }
-        if at > self.last {
-            self.last = at;
-        }
-    }
-
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Mean bandwidth in bytes/second over the observed interval.
-    pub fn bytes_per_sec(&self) -> f64 {
-        match self.first {
-            Some(first) if self.last > first => {
-                self.bytes as f64 / (self.last - first).as_secs_f64()
-            }
-            _ => 0.0,
-        }
-    }
-
-    pub fn gib_per_sec(&self) -> f64 {
-        self.bytes_per_sec() / (1u64 << 30) as f64
-    }
-}
-
-/// Windowed time series: aggregates samples into fixed windows of
-/// simulated time, for "metric over the run" reporting (e.g. latency
-/// before/during/after a mid-run delay change).
-#[derive(Clone, Debug)]
-pub struct SeriesRecorder {
-    window: Dur,
-    origin: Time,
-    /// (sum, count) per window index.
-    windows: Vec<(u128, u64)>,
-}
-
-impl SeriesRecorder {
-    pub fn new(origin: Time, window: Dur) -> SeriesRecorder {
-        assert!(window.as_ps() > 0);
-        SeriesRecorder {
-            window,
-            origin,
-            windows: Vec::new(),
-        }
-    }
-
-    /// Record `value` at instant `at` (times before `origin` clamp to
-    /// window 0).
-    pub fn record(&mut self, at: Time, value: u64) {
-        let idx = (at.since(self.origin).as_ps() / self.window.as_ps()) as usize;
-        if idx >= self.windows.len() {
-            self.windows.resize(idx + 1, (0, 0));
-        }
-        let w = &mut self.windows[idx];
-        w.0 += value as u128;
-        w.1 += 1;
-    }
-
-    /// `(window_end_time, mean, count)` per window, in order.
-    pub fn series(&self) -> Vec<(Time, f64, u64)> {
-        self.windows
-            .iter()
-            .enumerate()
-            .map(|(i, &(sum, n))| {
-                let end = self.origin + Dur::ps(self.window.as_ps() * (i as u64 + 1));
-                let mean = if n == 0 { 0.0 } else { sum as f64 / n as f64 };
-                (end, mean, n)
-            })
-            .collect()
-    }
-
-    pub fn window(&self) -> Dur {
-        self.window
-    }
-}
-
 /// Simple ordinary-least-squares fit, used to validate the linear
 /// PERIOD ↔ latency relationship the paper reports (§III-B).
 #[derive(Clone, Copy, Debug)]
@@ -428,41 +246,6 @@ impl serde::Deserialize for LinearFit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 10.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.variance() - var).abs() < 1e-12);
-        assert_eq!(w.min(), 1.0);
-        assert_eq!(w.max(), 10.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        let mut whole = Welford::new();
-        for i in 0..100 {
-            let x = (i * i % 37) as f64;
-            whole.push(x);
-            if i % 2 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
 
     #[test]
     fn histogram_quantiles_are_close() {
@@ -560,53 +343,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn throughput_meter_bandwidth() {
-        let mut m = ThroughputMeter::new();
-        m.record(Time::ZERO, 0);
-        m.record(Time::secs(1), 1 << 30);
-        assert!((m.gib_per_sec() - 1.0).abs() < 1e-9);
-        assert_eq!(m.bytes(), 1 << 30);
-    }
-
-    #[test]
-    fn throughput_meter_empty_is_zero() {
-        assert_eq!(ThroughputMeter::new().bytes_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn series_recorder_windows_and_means() {
-        let mut r = SeriesRecorder::new(Time::us(10), Dur::us(5));
-        r.record(Time::us(11), 100);
-        r.record(Time::us(14), 200);
-        r.record(Time::us(16), 50);
-        r.record(Time::us(27), 10); // window 3, leaving window 2 empty
-        let s = r.series();
-        assert_eq!(s.len(), 4);
-        assert_eq!(s[0], (Time::us(15), 150.0, 2));
-        assert_eq!(s[1], (Time::us(20), 50.0, 1));
-        assert_eq!(s[2].2, 0, "empty window has zero count");
-        assert_eq!(s[3].2, 1);
-        // Times before the origin clamp into the first window.
-        r.record(Time::us(1), 300);
-        assert_eq!(r.series()[0].2, 3);
-        assert_eq!(r.window(), Dur::us(5));
-    }
-
     // Sweep-level telemetry merges per-point statistics in grid order;
     // these properties guarantee the merge result cannot depend on that
     // order (or any other).
     mod merge_order {
         use super::*;
         use proptest::prelude::*;
-
-        fn welford_of(xs: &[u64]) -> Welford {
-            let mut w = Welford::new();
-            for &x in xs {
-                w.push(x as f64);
-            }
-            w
-        }
 
         fn histogram_of(xs: &[u64]) -> Histogram {
             let mut h = Histogram::new();
@@ -617,30 +359,6 @@ mod tests {
         }
 
         proptest! {
-            #[test]
-            fn prop_welford_merge_is_order_independent(
-                a in proptest::collection::vec(0u64..1_000_000, 0..100),
-                b in proptest::collection::vec(0u64..1_000_000, 0..100),
-            ) {
-                let mut ab = welford_of(&a);
-                ab.merge(&welford_of(&b));
-                let mut ba = welford_of(&b);
-                ba.merge(&welford_of(&a));
-                prop_assert_eq!(ab.count(), ba.count());
-                prop_assert_eq!(ab.min(), ba.min());
-                prop_assert_eq!(ab.max(), ba.max());
-                prop_assert!((ab.mean() - ba.mean()).abs() <= 1e-6 * (1.0 + ab.mean().abs()));
-                prop_assert!(
-                    (ab.variance() - ba.variance()).abs()
-                        <= 1e-6 * (1.0 + ab.variance().abs())
-                );
-                // Merging must also agree with pushing everything into one
-                // accumulator.
-                let whole = welford_of(&[a, b].concat());
-                prop_assert_eq!(ab.count(), whole.count());
-                prop_assert!((ab.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-            }
-
             #[test]
             fn prop_histogram_merge_is_order_independent(
                 a in proptest::collection::vec(0u64..u64::MAX / 2, 0..100),

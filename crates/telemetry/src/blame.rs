@@ -120,8 +120,7 @@ pub struct ResourceBlame {
 
 impl ResourceBlame {
     /// `cross_ps / wait_ps` (0 when nothing waited) — the headline
-    /// "how much of this resource's queueing was interference" number,
-    /// banded by the baseline gate.
+    /// "how much of this resource's queueing was interference" number.
     #[must_use]
     pub fn cross_share(&self) -> f64 {
         crate::frac(self.cross_ps.into(), self.wait_ps.into())

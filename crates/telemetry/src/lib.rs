@@ -31,7 +31,6 @@
 //! across `--jobs` settings too.
 
 pub mod attribution;
-pub mod baseline;
 pub mod blame;
 pub mod chrome;
 pub mod counters;
@@ -42,7 +41,6 @@ pub mod summary;
 mod testkit;
 
 pub use attribution::{PhaseSlice, PointAttribution, StageSlice, SweepAttribution};
-pub use baseline::{Baseline, Drift};
 pub use blame::{BlameCell, PointBlame, ResourceBlame, SweepBlame, VictimBlame};
 pub use counters::{
     CounterKind, CounterRecorder, CounterReport, CounterTrack, PointUtilization, SweepUtilization,
@@ -71,10 +69,9 @@ pub struct TraceConfig {
     pub dir: PathBuf,
     /// Write per-sweep artifact files (`<sweep>.trace.json`,
     /// `<sweep>.collapsed`, `telemetry.json`, `attribution.json`,
-    /// `utilization.json`)? `false` runs the recorders and accumulates
-    /// summaries / attributions / utilizations in memory only —
-    /// baseline record/check mode uses this to gate stage and counter
-    /// means without touching the filesystem.
+    /// `utilization.json`, `blame.json`)? `false` runs the recorders and
+    /// accumulates every fold in memory only — `repro blame` uses this
+    /// to read blame without touching the filesystem.
     pub artifacts: bool,
 }
 
@@ -406,21 +403,8 @@ pub fn summaries() -> Vec<SweepSummary> {
     snapshot(|f| f.summary.clone())
 }
 
-/// Snapshot of every sweep attribution accumulated so far. Baseline
-/// record/check consume this in-process.
-pub fn attributions() -> Vec<SweepAttribution> {
-    snapshot(|f| f.attribution.clone())
-}
-
-/// Snapshot of every sweep utilization accumulated so far. Baseline
-/// record/check gate counter means from this.
-pub fn utilizations() -> Vec<SweepUtilization> {
-    snapshot(|f| f.utilization.clone())
-}
-
-/// Snapshot of every sweep blame report accumulated so far. Baseline
-/// record/check band per-resource cross shares from this; `repro blame`
-/// renders its study tables from it.
+/// Snapshot of every sweep blame report accumulated so far. `repro
+/// blame` renders its study tables from this.
 pub fn blames() -> Vec<SweepBlame> {
     snapshot(|f| f.blame.clone())
 }

@@ -1,7 +1,11 @@
 //! Golden-trace corpus: the attribution artifacts for the pinned quick
 //! configuration (`repro validate`, `table1` and `kernels` at
 //! `--profile quick --trace`) are committed under `tests/golden/` and
-//! this test regenerates them in-process and byte-compares.
+//! this test regenerates them in-process and byte-compares. For
+//! `validate/stream-delay` (the paper's Fig. 2/3 read anatomy) the
+//! corpus also pins `utilization.json` and `blame.json`, so its stage
+//! and phase means, tails, counter means and blame shares are all
+//! checked exactly.
 //!
 //! Because folding is order-independent and trace assembly is
 //! grid-ordered, the artifacts must match whatever the thread count:
@@ -20,8 +24,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test attribution_golden
 //! ```
 //!
-//! then commit the rewritten files under `tests/golden/` (and re-record
-//! `results/baselines/quick.json`, which gates the same stages).
+//! then commit the rewritten files under `tests/golden/`.
 
 use std::path::{Path, PathBuf};
 use thymesim::core::experiments::apps::{kernel_scale, table1};
@@ -31,11 +34,13 @@ use thymesim_bench::Profile;
 use thymesim_telemetry::{attribution, TraceConfig};
 
 const GOLDEN_DIR: &str = "tests/golden";
-const FIXTURES: [&str; 4] = [
+const FIXTURES: [&str; 6] = [
     "validate_stream_delay.collapsed",
     "apps_table1.collapsed",
     "attribution.json",
     "apps_kernels.collapsed",
+    "utilization.json",
+    "blame.json",
 ];
 
 fn golden_path(name: &str) -> PathBuf {
@@ -59,6 +64,10 @@ fn generate(dir: &Path, jobs: usize) {
         ..Default::default()
     });
     stream_delay_sweep(&profile.testbed, &profile.stream, &FIG2_PERIODS);
+    // Written before any other sweep runs, so these two cover
+    // `validate/stream-delay` only: its counter means and blame shares.
+    thymesim_telemetry::write_utilization().expect("utilization.json written");
+    thymesim_telemetry::write_blame().expect("blame.json written");
     // The apps sweep adds Redis KV and Graph500 BFS/SSSP towers so the
     // corpus pins every workload family's phase frames, not just STREAM's.
     table1(&profile.testbed, &profile.apps);
@@ -161,13 +170,40 @@ fn quick_profile_attribution_matches_golden_fixtures() {
                 golden_path(name).display()
             )
         });
-        assert!(
-            fresh == golden,
-            "{name} diverged from tests/golden/{name} (jobs={jobs}).\n\
-             If the timing model changed intentionally, re-bless with\n\
-             UPDATE_GOLDEN=1 cargo test --test attribution_golden\n\
-             and re-record results/baselines/quick.json.",
-        );
+        if let Some(diff) = first_difference(&fresh, &golden) {
+            panic!(
+                "{name} diverged from tests/golden/{name} (jobs={jobs}) {diff}\n\
+                 If the timing model changed intentionally, re-bless with\n\
+                 UPDATE_GOLDEN=1 cargo test --test attribution_golden",
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Where `fresh` first departs from `golden`: the 1-based line number
+/// and that line from both sides, or `None` when they are equal.
+fn first_difference(fresh: &[u8], golden: &[u8]) -> Option<String> {
+    if fresh == golden {
+        return None;
+    }
+    let (fresh, golden) = (
+        String::from_utf8_lossy(fresh),
+        String::from_utf8_lossy(golden),
+    );
+    let (mut fresh_lines, mut golden_lines) = (fresh.split('\n'), golden.split('\n'));
+    let show = |l: Option<&str>| l.map_or("<end of file>".to_string(), |l| format!("`{l}`"));
+    let mut line = 1;
+    loop {
+        match (fresh_lines.next(), golden_lines.next()) {
+            (Some(f), Some(g)) if f == g => line += 1,
+            (f, g) => {
+                return Some(format!(
+                    "at line {line}:\n  fresh:  {}\n  golden: {}",
+                    show(f),
+                    show(g)
+                ))
+            }
+        }
+    }
 }
