@@ -81,12 +81,6 @@ impl TestbedConfig {
         self
     }
 
-    /// Select the borrower's local DRAM timing model.
-    pub fn with_local_dram(mut self, model: DramModel) -> TestbedConfig {
-        self.borrower.dram.model = model;
-        self
-    }
-
     /// Scaled-down testbed for fast tests (tiny caches).
     pub fn tiny() -> TestbedConfig {
         TestbedConfig {

@@ -77,12 +77,10 @@ pub fn resilience_sweep(
                     Some(Crash::MachineCheck { latency, .. }) => ResilienceOutcome::MachineCheck {
                         latency_ms: latency.as_us_f64() / 1e3,
                     },
-                    Some(Crash::AttachTimeout { .. }) | Some(Crash::LinkDead { .. }) | None => {
-                        ResilienceOutcome::Completed {
-                            latency_us: report.miss_latency_mean.as_us_f64(),
-                            bandwidth_gib_s: report.best_bandwidth_gib_s(),
-                        }
-                    }
+                    Some(Crash::AttachTimeout { .. }) | None => ResilienceOutcome::Completed {
+                        latency_us: report.miss_latency_mean.as_us_f64(),
+                        bandwidth_gib_s: report.best_bandwidth_gib_s(),
+                    },
                 }
             }
         };

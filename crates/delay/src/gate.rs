@@ -15,7 +15,6 @@
 //! proof.
 
 use thymesim_axi::stage::{passthrough_offer, Flags, Offers, Stage, NO_FLAGS, NO_OFFERS};
-use thymesim_sim::Clock;
 
 /// Supplies the `PERIOD` value for a given cycle, enabling the paper's
 /// future-work extension (varying delay within a run) without changing the
@@ -57,91 +56,6 @@ impl PiecewisePeriod {
     }
 }
 
-impl PiecewisePeriod {
-    /// Parse a schedule from text: one `<from_cycle> <period>` pair per
-    /// line; blank lines and `#` comments allowed. The recorded schedules
-    /// of real congestion events can be replayed this way.
-    pub fn from_text(text: &str) -> Result<PiecewisePeriod, String> {
-        let mut steps = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let cycle: u64 = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("line {}: bad cycle", lineno + 1))?;
-            let period: u64 = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("line {}: bad period", lineno + 1))?;
-            if it.next().is_some() {
-                return Err(format!("line {}: trailing tokens", lineno + 1));
-            }
-            steps.push((cycle, period));
-        }
-        if steps.is_empty() {
-            return Err("empty schedule".into());
-        }
-        if steps[0].0 != 0 {
-            return Err("schedule must start at cycle 0".into());
-        }
-        if !steps.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err("cycles must be strictly increasing".into());
-        }
-        if steps.iter().any(|&(_, p)| p == 0) {
-            return Err("PERIOD must be >= 1".into());
-        }
-        Ok(PiecewisePeriod::new(steps))
-    }
-}
-
-/// Periodic microbursts: the fabric alternates between a calm PERIOD and
-/// a congested PERIOD on a fixed duty cycle — the short-timescale
-/// variation §V says the constant injector cannot produce.
-#[derive(Clone, Copy, Debug)]
-pub struct BurstPeriod {
-    /// PERIOD outside bursts.
-    pub calm: u64,
-    /// PERIOD inside bursts.
-    pub burst: u64,
-    /// Cycles per calm+burst pattern repetition.
-    pub cycle_len: u64,
-    /// Cycles of each repetition spent bursting (≤ cycle_len).
-    pub burst_len: u64,
-}
-
-impl BurstPeriod {
-    pub fn new(calm: u64, burst: u64, cycle_len: u64, burst_len: u64) -> BurstPeriod {
-        assert!(calm >= 1 && burst >= 1);
-        assert!(cycle_len >= 1 && burst_len <= cycle_len);
-        BurstPeriod {
-            calm,
-            burst,
-            cycle_len,
-            burst_len,
-        }
-    }
-
-    /// Fraction of time spent in the burst state.
-    pub fn duty(&self) -> f64 {
-        self.burst_len as f64 / self.cycle_len as f64
-    }
-}
-
-impl PeriodSource for BurstPeriod {
-    #[inline]
-    fn period_at(&self, cycle: u64) -> u64 {
-        if cycle % self.cycle_len < self.burst_len {
-            self.burst
-        } else {
-            self.calm
-        }
-    }
-}
-
 impl PeriodSource for PiecewisePeriod {
     #[inline]
     fn period_at(&self, cycle: u64) -> u64 {
@@ -173,11 +87,6 @@ pub struct CycleDelayGate<P: PeriodSource> {
     pub forwarded: u64,
     /// Cycles in which upstream was valid but the gate held READY low.
     pub gated_cycles: u64,
-    /// When set, the gate emits virtual-time utilization counters
-    /// (`gate.busy` per forwarded cycle, `gate.queue_depth` per gated
-    /// cycle) by mapping cycle numbers through this clock — the same
-    /// tracks the analytic model records, at cycle granularity.
-    clock: Option<Clock>,
 }
 
 impl<P: PeriodSource> CycleDelayGate<P> {
@@ -187,19 +96,6 @@ impl<P: PeriodSource> CycleDelayGate<P> {
             pending: false,
             forwarded: 0,
             gated_cycles: 0,
-            clock: None,
-        }
-    }
-
-    /// Like [`CycleDelayGate::new`], but with a wall clock so the gate
-    /// reports utilization counter tracks in virtual time. The tracks
-    /// are claimed exclusively per point (shared with the analytic
-    /// gate's): only the first claimant records, so busy fractions stay
-    /// within [0, 1] when several gates run in one point.
-    pub fn with_clock(period: P, clock: Clock) -> CycleDelayGate<P> {
-        CycleDelayGate {
-            clock: (thymesim_telemetry::claim("gate.busy") == 0).then_some(clock),
-            ..CycleDelayGate::new(period)
         }
     }
 
@@ -240,24 +136,9 @@ impl<P: PeriodSource> Stage for CycleDelayGate<P> {
         if fired_in[0].is_some() {
             self.forwarded += 1;
             self.pending = false;
-            if let Some(ck) = self.clock {
-                thymesim_telemetry::counter_busy(
-                    "gate.busy",
-                    ck.time_of_cycle(cycle),
-                    ck.time_of_cycle(cycle + 1),
-                );
-            }
         } else {
             if inputs[0].is_some() {
                 self.gated_cycles += 1;
-                if let Some(ck) = self.clock {
-                    thymesim_telemetry::counter_level(
-                        "gate.queue_depth",
-                        ck.time_of_cycle(cycle),
-                        ck.time_of_cycle(cycle + 1),
-                        1,
-                    );
-                }
             }
             self.pending = exposed;
         }
@@ -409,66 +290,5 @@ mod tests {
     #[should_panic(expected = "start at cycle 0")]
     fn piecewise_must_start_at_zero() {
         let _ = PiecewisePeriod::new(vec![(5, 2)]);
-    }
-
-    #[test]
-    fn piecewise_parses_from_text() {
-        let text = "# congestion event\n0 1\n250000 300   # spike\n\n500000 50\n";
-        let sched = PiecewisePeriod::from_text(&text.replace("\\n", "\n")).unwrap();
-        assert_eq!(sched.period_at(0), 1);
-        assert_eq!(sched.period_at(300_000), 300);
-        assert_eq!(sched.period_at(600_000), 50);
-    }
-
-    #[test]
-    fn burst_period_alternates() {
-        let b = BurstPeriod::new(1, 100, 1000, 250);
-        assert_eq!(b.period_at(0), 100, "bursts lead each repetition");
-        assert_eq!(b.period_at(249), 100);
-        assert_eq!(b.period_at(250), 1);
-        assert_eq!(b.period_at(999), 1);
-        assert_eq!(b.period_at(1000), 100, "pattern repeats");
-        assert!((b.duty() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bursty_gate_stalls_then_streams() {
-        // 20-cycle bursts at PERIOD=20 alternating with calm PERIOD=1:
-        // beats cluster in the calm windows.
-        let mut sim = StreamSim::new();
-        let p = sim.add(Producer::new((0..60).map(Beat::new)));
-        let g = sim.add(CycleDelayGate::new(BurstPeriod::new(1, 20, 40, 20)));
-        let (c, rec) = Consumer::new(ReadyPattern::Always);
-        let c = sim.add(c);
-        sim.connect(p, 0, g, 0);
-        sim.connect(g, 0, c, 0);
-        sim.run(400);
-        let got = rec.borrow();
-        assert_eq!(got.len(), 60);
-        let in_calm = got.iter().filter(|(cy, _)| cy % 40 >= 20).count();
-        assert!(
-            in_calm * 4 >= got.len() * 3,
-            "most beats should land in the calm half: {in_calm}/{}",
-            got.len()
-        );
-    }
-
-    #[test]
-    fn piecewise_text_errors() {
-        assert!(PiecewisePeriod::from_text("")
-            .unwrap_err()
-            .contains("empty"));
-        assert!(PiecewisePeriod::from_text("5 2")
-            .unwrap_err()
-            .contains("start at cycle 0"));
-        assert!(PiecewisePeriod::from_text("0 1\n0 2")
-            .unwrap_err()
-            .contains("increasing"));
-        assert!(PiecewisePeriod::from_text("0 0")
-            .unwrap_err()
-            .contains(">= 1"));
-        assert!(PiecewisePeriod::from_text("0 x")
-            .unwrap_err()
-            .contains("bad period"));
     }
 }

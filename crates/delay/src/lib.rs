@@ -30,5 +30,5 @@ pub mod gate;
 pub mod model;
 
 pub use dist::{DelayDist, DistGate};
-pub use gate::{BurstPeriod, ConstPeriod, CycleDelayGate, PeriodSource, PiecewisePeriod};
+pub use gate::{ConstPeriod, CycleDelayGate, PeriodSource, PiecewisePeriod};
 pub use model::AnalyticGate;

@@ -15,7 +15,7 @@
 //! AXI beat counts; the hot path allocates nothing.
 
 use crate::credit::CreditWindow;
-use crate::failure::{CorruptionPlan, Crash, HealthMonitor, OutagePlan};
+use crate::failure::{HealthMonitor, OutagePlan};
 use crate::packet::{PacketKind, HEADER_BYTES};
 use crate::xlate::XlateTable;
 use thymesim_delay::{AnalyticGate, ConstPeriod, DelayDist, DistGate, PiecewisePeriod};
@@ -97,10 +97,6 @@ pub struct FabricConfig {
     /// hardware routes all egress through it; `false` is an ablation that
     /// delays only demand reads).
     pub gate_writebacks: bool,
-    /// Non-posted writes: every write-back waits for a WriteAck and holds
-    /// a window credit, like a strongly-ordered coherence mode. The
-    /// prototype posts writes; `true` is an ablation.
-    pub acked_writes: bool,
 }
 
 impl Default for FabricConfig {
@@ -115,7 +111,6 @@ impl Default for FabricConfig {
             link: LinkConfig::copper_100g(),
             line_bytes: 128,
             gate_writebacks: true,
-            acked_writes: false,
         }
     }
 }
@@ -180,8 +175,6 @@ pub struct FabricEngine {
     lender_bus: SharedDram,
     pub health: HealthMonitor,
     pub outages: OutagePlan,
-    /// Optional wire-corruption injector (checksum-detected, retried).
-    pub corruption: Option<CorruptionPlan>,
     pub stats: FabricStats,
     attached: bool,
     next_tag: u32,
@@ -206,7 +199,6 @@ impl FabricEngine {
             lender_bus,
             health: HealthMonitor::default(),
             outages: OutagePlan::new(),
-            corruption: None,
             stats: FabricStats::default(),
             attached: false,
             xlate: XlateTable::new(),
@@ -263,14 +255,14 @@ impl FabricEngine {
         t
     }
 
-    /// One-way trip of a message from the borrower egress to lender
-    /// memory completion. Returns (arrival at lender NIC, data ready).
+    /// One-way trip of a message from the borrower egress to the lender
+    /// NIC. Returns its arrival there.
     ///
     /// The delay gate operates at *transaction* granularity, as the paper
     /// specifies ("a transaction is allowed to proceed once every PERIOD
     /// cycles"): each outbound message consumes one grant slot, whatever
     /// its beat count; the wire still charges the full byte length.
-    fn outbound(&mut self, at: Time, kind: PacketKind) -> (Time, Time) {
+    fn outbound(&mut self, at: Time, kind: PacketKind) -> Time {
         let wire = match kind {
             PacketKind::ReadReq | PacketKind::ConfigRead => HEADER_BYTES,
             PacketKind::WriteReq => HEADER_BYTES + self.cfg.line_bytes,
@@ -287,35 +279,13 @@ impl FabricEngine {
         } else {
             t_pipe
         };
-        // Checksum-detected corruption: each retransmission repeats the
-        // gate grant and the wire traversal.
-        let attempts = 1 + match self.corruption.as_mut() {
-            Some(c) => c.retries().unwrap_or_else(|| {
-                self.health.record_crash(Crash::LinkDead {
-                    at: t_gate,
-                    retries: c.max_retries,
-                });
-                c.max_retries
-            }),
-            None => 0,
-        };
-        let mut t_last_gate = t_gate;
-        let mut t = Time::ZERO;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                // The retransmission re-arbitrates at the gate.
-                t_last_gate = self.gate.pass(t, 1);
-                self.stats.gate_beats += 1;
-            }
-            let t_wire = self.outages.next_up(t_last_gate);
-            t = self.tx.send(t_wire, wire);
-            for hop in &self.route_out {
-                t = hop.borrow_mut().send(t + self.hop_latency, wire);
-            }
+        let mut t = self.tx.send(self.outages.next_up(t_gate), wire);
+        for hop in &self.route_out {
+            t = hop.borrow_mut().send(t + self.hop_latency, wire);
         }
         let t_arrive = t + self.cfg.lender_nic_latency;
-        thymesim_telemetry::latency("fabric.wire_out", t_arrive - t_last_gate);
-        (t_last_gate, t_arrive)
+        thymesim_telemetry::latency("fabric.wire_out", t_arrive - t_gate);
+        t_arrive
     }
 
     /// Return path: lender NIC → RX link → borrower ingress.
@@ -333,7 +303,7 @@ impl FabricEngine {
     pub fn config_rtt(&mut self, at: Time) -> Time {
         self.stats.config_reads += 1;
         let _tag = self.alloc_tag();
-        let (_, t_lender) = self.outbound(at, PacketKind::ConfigRead);
+        let t_lender = self.outbound(at, PacketKind::ConfigRead);
         // Config registers answer from the FPGA itself: no DRAM access.
         self.inbound(t_lender, HEADER_BYTES)
     }
@@ -354,7 +324,7 @@ impl RemoteBackend for FabricEngine {
         thymesim_telemetry::add("fabric.reads", 1);
 
         let t0 = self.window.acquire(at);
-        let (_, t_lender) = self.outbound(t0, PacketKind::ReadReq);
+        let t_lender = self.outbound(t0, PacketKind::ReadReq);
         let t_data = {
             let mut bus = self.lender_bus.borrow_mut();
             bus.access(t_lender, addr, self.cfg.line_bytes).done
@@ -390,32 +360,18 @@ impl RemoteBackend for FabricEngine {
             .unwrap_or_else(|f| panic!("NIC translation fault: {f:?}"));
         self.stats.writebacks += 1;
         thymesim_telemetry::add("fabric.writebacks", 1);
-        if self.cfg.acked_writes {
-            // Strongly-ordered mode: the write takes a credit, completes at
-            // the lender, and returns an ack before the credit frees.
-            let t0 = self.window.acquire(at);
-            let (_, t_lender) = self.outbound(t0, PacketKind::WriteReq);
-            let t_data = {
-                let mut bus = self.lender_bus.borrow_mut();
-                bus.access(t_lender, addr, self.cfg.line_bytes).done
-            };
-            let done = self.inbound(t_data, HEADER_BYTES);
-            self.window.complete_at(done);
-            thymesim_telemetry::blame_occupy("credit", t0, done);
-        } else {
-            // Posted: occupies the gate, the wire, and the lender bus, but
-            // the evicting access does not wait for it.
-            let (_, t_lender) = self.outbound(at, PacketKind::WriteReq);
-            let mut bus = self.lender_bus.borrow_mut();
-            bus.access(t_lender, addr, self.cfg.line_bytes);
-        }
+        // Posted, as in the prototype: occupies the gate, the wire, and
+        // the lender bus, but the evicting access does not wait for it.
+        let t_lender = self.outbound(at, PacketKind::WriteReq);
+        let mut bus = self.lender_bus.borrow_mut();
+        bus.access(t_lender, addr, self.cfg.line_bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure::CorruptionPlan;
+    use crate::failure::Crash;
     use crate::xlate::Segment;
     use thymesim_mem::{shared_dram, DramConfig};
 
@@ -523,42 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn acked_writes_steal_credits_from_reads() {
-        // PERIOD=1 so the credit window (not the gate) is the bottleneck.
-        let mk = |acked| {
-            let cfg = FabricConfig {
-                delay: DelaySpec::Period(1),
-                acked_writes: acked,
-                ..FabricConfig::default()
-            };
-            let bus = shared_dram(DramConfig::default());
-            let mut e = FabricEngine::new(cfg, bus);
-            e.xlate.map(Segment {
-                borrower_base: 0,
-                lender_base: 0,
-                len: 1 << 30,
-            });
-            e.set_attached(true);
-            e
-        };
-        let mut posted = mk(false);
-        let mut acked = mk(true);
-        for i in 0..400u64 {
-            posted.writeback_line(Time::ZERO, Addr((1 << 20) + i * 128));
-            posted.fetch_line(Time::ZERO, Addr(i * 128));
-            acked.writeback_line(Time::ZERO, Addr((1 << 20) + i * 128));
-            acked.fetch_line(Time::ZERO, Addr(i * 128));
-        }
-        // With acked writes the window is shared: read latency inflates.
-        let posted_lat = posted.stats.read_latency.mean();
-        let acked_lat = acked.stats.read_latency.mean();
-        assert!(
-            acked_lat > posted_lat * 1.15,
-            "acked writes should contend for credits: {acked_lat} vs {posted_lat}"
-        );
-    }
-
-    #[test]
     fn ungated_writebacks_do_not_slow_reads() {
         let mk = |gate_wb| {
             let cfg = FabricConfig {
@@ -611,6 +531,41 @@ mod tests {
             (1.7..2.5).contains(&ratio),
             "writeback interference ratio {ratio}, want ~2"
         );
+    }
+
+    #[test]
+    fn every_outbound_message_takes_one_gate_grant() {
+        for gate_wb in [true, false] {
+            let cfg = FabricConfig {
+                delay: DelaySpec::Period(100),
+                gate_writebacks: gate_wb,
+                ..FabricConfig::default()
+            };
+            let mut e = FabricEngine::new(cfg, shared_dram(DramConfig::default()));
+            e.xlate.map(Segment {
+                borrower_base: 0,
+                lender_base: 0,
+                len: 1 << 30,
+            });
+            e.set_attached(true);
+            for i in 0..50u64 {
+                e.fetch_line(Time::ZERO, Addr(i * 128));
+                if i % 3 == 0 {
+                    e.writeback_line(Time::ZERO, Addr((1 << 20) + i * 128));
+                }
+                if i % 10 == 0 {
+                    e.config_rtt(Time::ZERO);
+                }
+            }
+            let s = &e.stats;
+            assert_eq!((s.reads, s.writebacks, s.config_reads), (50, 17, 5));
+            let gated_writebacks = if gate_wb { s.writebacks } else { 0 };
+            assert_eq!(
+                s.gate_beats,
+                s.reads + gated_writebacks + s.config_reads,
+                "gate_writebacks: {gate_wb}"
+            );
+        }
     }
 
     #[test]
@@ -769,36 +724,6 @@ mod tests {
         assert!(
             slow.as_secs_f64() > done_solo.as_secs_f64() * 1.6,
             "sharing the fabric should roughly halve throughput: {slow} vs solo {done_solo}"
-        );
-    }
-
-    #[test]
-    fn corruption_slows_the_stream_and_counts() {
-        let mut clean = engine(DelaySpec::Period(100));
-        let mut lossy = engine(DelaySpec::Period(100));
-        lossy.corruption = Some(CorruptionPlan::new(0.2, 99));
-        let n = 500u64;
-        let mut t_clean = Time::ZERO;
-        let mut t_lossy = Time::ZERO;
-        for i in 0..n {
-            t_clean = clean.fetch_line(Time::ZERO, Addr(i * 128));
-            t_lossy = lossy.fetch_line(Time::ZERO, Addr(i * 128));
-        }
-        let corrupted = lossy.corruption.as_ref().unwrap().corrupted;
-        assert!(
-            corrupted > 50,
-            "20% BER should corrupt many of {n}: {corrupted}"
-        );
-        // Each retransmission costs an extra gate slot: the stream slows
-        // roughly by the retry fraction.
-        let ratio = t_lossy.as_secs_f64() / t_clean.as_secs_f64();
-        assert!(
-            (1.1..1.5).contains(&ratio),
-            "retries should slow the stream ~25%: {ratio}"
-        );
-        assert!(
-            lossy.health.is_healthy(),
-            "transient corruption is not fatal"
         );
     }
 

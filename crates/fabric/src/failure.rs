@@ -18,9 +18,6 @@ pub enum Crash {
     /// The control plane could not complete FPGA discovery in time; the
     /// disaggregated memory cannot be attached.
     AttachTimeout { elapsed: Dur, budget: Dur },
-    /// A message exhausted its retransmission budget: the link is
-    /// declared dead.
-    LinkDead { at: Time, retries: u32 },
 }
 
 /// Watches access latencies and records the first fatal event.
@@ -123,53 +120,6 @@ impl OutagePlan {
     }
 }
 
-/// Random single-message corruption: each wire message is corrupted with
-/// probability `ber_per_message`; the receiver's checksum (see
-/// [`crate::packet`]) detects it and the sender retransmits, costing a
-/// full extra traversal. Models the marginal-link failures that delay
-/// injection is meant to stand in for.
-#[derive(Clone, Debug)]
-pub struct CorruptionPlan {
-    ber_per_message: f64,
-    rng: thymesim_sim::Xoshiro256,
-    /// Messages corrupted (and retransmitted) so far.
-    pub corrupted: u64,
-    /// Maximum consecutive retransmissions before the link is declared
-    /// dead (a crash).
-    pub max_retries: u32,
-}
-
-impl CorruptionPlan {
-    pub fn new(ber_per_message: f64, seed: u64) -> CorruptionPlan {
-        assert!((0.0..1.0).contains(&ber_per_message));
-        CorruptionPlan {
-            ber_per_message,
-            rng: thymesim_sim::Xoshiro256::seed_from_u64(seed),
-            corrupted: 0,
-            max_retries: 8,
-        }
-    }
-
-    /// How many retransmissions this message suffers (0 = clean).
-    /// Returns `None` if the retry budget is exhausted (link declared
-    /// dead).
-    pub fn retries(&mut self) -> Option<u32> {
-        let mut n = 0;
-        while self.rng.chance(self.ber_per_message) {
-            n += 1;
-            self.corrupted += 1;
-            if n > self.max_retries {
-                return None;
-            }
-        }
-        Some(n)
-    }
-
-    pub fn is_nil(&self) -> bool {
-        self.ber_per_message == 0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,41 +185,5 @@ mod tests {
         let mut o = OutagePlan::new();
         o.add(Time::us(10), Time::us(30));
         o.add(Time::us(20), Time::us(40));
-    }
-
-    #[test]
-    fn corruption_rate_matches_configuration() {
-        let mut c = CorruptionPlan::new(0.05, 42);
-        let n = 100_000;
-        let mut total_retries = 0u64;
-        for _ in 0..n {
-            total_retries += c.retries().expect("budget not exhausted") as u64;
-        }
-        let rate = total_retries as f64 / n as f64;
-        // Expected retries/message = p/(1-p) ≈ 0.0526.
-        assert!((0.045..0.06).contains(&rate), "retry rate {rate}");
-        assert_eq!(c.corrupted, total_retries);
-    }
-
-    #[test]
-    fn zero_ber_is_clean() {
-        let mut c = CorruptionPlan::new(0.0, 1);
-        assert!(c.is_nil());
-        for _ in 0..1000 {
-            assert_eq!(c.retries(), Some(0));
-        }
-    }
-
-    #[test]
-    fn pathological_ber_exhausts_the_budget() {
-        let mut c = CorruptionPlan::new(0.999, 7);
-        let mut died = false;
-        for _ in 0..100 {
-            if c.retries().is_none() {
-                died = true;
-                break;
-            }
-        }
-        assert!(died, "a ~1.0 BER must exhaust the retry budget");
     }
 }

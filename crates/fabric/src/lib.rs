@@ -48,7 +48,7 @@ pub use control::{
 };
 pub use credit::CreditWindow;
 pub use engine::{DelaySpec, FabricConfig, FabricEngine, FabricStats};
-pub use failure::{CorruptionPlan, Crash, HealthMonitor, OutagePlan};
+pub use failure::{Crash, HealthMonitor, OutagePlan};
 pub use packet::{DecodeError, Packet, PacketKind, BEAT_BYTES, HEADER_BYTES};
 pub use pipeline::{EgressPipeline, IngressPipeline, DEST_CTRL, DEST_DATA, DEST_FILL, DEST_MMIO};
 pub use thymesim_net::{shared_link, SharedLink};

@@ -28,10 +28,6 @@ impl LinkConfig {
             propagation: Dur::ns(100),
         }
     }
-
-    pub fn bytes_per_sec(&self) -> f64 {
-        self.bits_per_sec / 8.0
-    }
 }
 
 /// One direction of a link.

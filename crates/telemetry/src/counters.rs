@@ -491,11 +491,6 @@ impl SweepUtilization {
         }
     }
 
-    /// Look up a merged counter report by name.
-    pub fn merged_counter(&self, name: &str) -> Option<&CounterReport> {
-        self.merged.iter().find(|c| c.name == name)
-    }
-
     pub fn to_value(&self) -> Value {
         crate::sweep_value(
             &self.sweep,
@@ -860,15 +855,27 @@ mod tests {
     fn merged_weights_points_by_horizon() {
         let (ta, tb) = two_point_tracks();
         let u = SweepUtilization::fold("sw", 2, &[trace(0, ta), trace(1, tb)], W, 0.9);
-        let link = u.merged_counter("link").expect("link merged");
+        let link = u
+            .merged
+            .iter()
+            .find(|c| c.name == "link")
+            .expect("link merged");
         // Point 0: 1000/1000 busy; point 1: 500/1000. Merged: 1500/2000.
         assert_eq!(link.num, 1_500);
         assert_eq!(link.den, 2_000);
         assert_eq!(link.mean, 0.75);
-        let miss = u.merged_counter("miss").expect("miss merged");
+        let miss = u
+            .merged
+            .iter()
+            .find(|c| c.name == "miss")
+            .expect("miss merged");
         assert_eq!(miss.mean, 2.0 / 6.0);
         // dram only appears in point 1, so only its horizon contributes.
-        let dram = u.merged_counter("dram").expect("dram merged");
+        let dram = u
+            .merged
+            .iter()
+            .find(|c| c.name == "dram")
+            .expect("dram merged");
         assert_eq!(dram.horizon_ps, 1_000);
         assert_eq!(dram.mean, 0.25);
     }
@@ -890,7 +897,11 @@ mod tests {
             W,
             0.9,
         );
-        let c = u.merged_counter("credits").expect("credits merged");
+        let c = u
+            .merged
+            .iter()
+            .find(|c| c.name == "credits")
+            .expect("credits merged");
         assert_eq!(c.bound, Some(16));
         assert_eq!(c.peak, 16.0);
         assert!(c.peak <= c.bound.unwrap() as f64);

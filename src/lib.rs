@@ -34,9 +34,9 @@
 //! congestion, memory pooling, rack topologies, page-migration QoS,
 //! calibration sensitivity, and contention-aware placement).
 //!
-//! Reliability tooling: link outages with repair, checksum-detected wire
-//! corruption with retransmission budgets, machine-check monitoring, and
-//! piecewise / distribution-driven delay schedules. Every run is exactly
+//! Reliability tooling: link outages with repair, machine-check monitoring,
+//! the attach timeout, and piecewise / distribution-driven delay
+//! schedules. Every run is exactly
 //! reproducible from its configuration and seeds.
 
 pub use thymesim_axi as axi;

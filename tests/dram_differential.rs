@@ -20,11 +20,11 @@ fn stream_cfg(elements: u64) -> StreamConfig {
 /// The tiny testbed with both nodes' DRAM swapped for the degenerate
 /// banked model, CAS matched to each node's fixed-latency calibration.
 fn degenerate_testbed() -> TestbedConfig {
-    let base = TestbedConfig::tiny();
+    let mut base = TestbedConfig::tiny();
     let local = BankedDramConfig::degenerate(base.borrower.dram.latency);
     let lender = BankedDramConfig::degenerate(base.lender.dram.latency);
-    base.with_local_dram(DramModel::Banked(local))
-        .with_lender_dram(DramModel::Banked(lender))
+    base.borrower.dram.model = DramModel::Banked(local);
+    base.with_lender_dram(DramModel::Banked(lender))
 }
 
 /// Serialize a result series, stripping nothing: byte equality of the
