@@ -321,21 +321,21 @@ fn run_fig6(p: &Profile) {
     banner("Fig. 6 — MCBN: STREAM instances contending at the borrower");
     let points = contention::mcbn(&p.testbed, &p.stream, &contention::FIG6_COUNTS);
     save_json("fig6", &points);
-    print!("{}", report::fig6_csv(&points));
+    print!("{}", report::series_csv(&points));
 }
 
 fn run_fig7(p: &Profile) {
     banner("Fig. 7 — MCLN: lender-side contention vs borrower bandwidth");
     let points = contention::mcln(&p.testbed, &p.stream, &contention::FIG7_COUNTS);
     save_json("fig7", &points);
-    print!("{}", report::fig7_csv(&points));
+    print!("{}", report::series_csv(&points));
 }
 
 fn run_dram(p: &Profile) {
     banner("E18 — MCLN on the banked row-buffer DRAM model");
     let points = contention::mcln_banked(&p.testbed, &p.stream, &contention::FIG7_COUNTS);
     save_json("fig7_banked", &points);
-    print!("{}", report::fig7_banked_csv(&points));
+    print!("{}", report::series_csv(&points));
 }
 
 fn run_dist(p: &Profile) {
@@ -381,7 +381,7 @@ fn run_congestion(p: &Profile) {
         &[1, 2, 4, 8],
     );
     save_json("congestion", &points);
-    print!("{}", report::congestion_csv(&points));
+    print!("{}", report::series_csv(&points));
     banner("E11 — does constant injection emulate congestion?");
     let r = beyond::emulation_fidelity(&p.testbed, &p.stream, LinkConfig::copper_100g(), 4);
     save_json("emulation_fidelity", &r);
@@ -397,7 +397,7 @@ fn run_topology(p: &Profile) {
     };
     let points = beyond::rack_topology(&p.testbed, &p.stream, tree, 3);
     save_json("topology", &points);
-    print!("{}", report::topology_csv(&points));
+    print!("{}", report::series_csv(&points));
 }
 
 fn run_pooling(p: &Profile) {
@@ -436,7 +436,7 @@ fn run_serve(p: &Profile) {
         &s.rates,
     );
     save_json("serve_tail", &points);
-    print!("{}", report::serve_tail_csv(&points));
+    print!("{}", report::series_csv(&points));
     banner("E17 — tail columns at the highest offered rate");
     let top = s.rates.last().copied().unwrap_or(0.0);
     let slice: Vec<_> = points

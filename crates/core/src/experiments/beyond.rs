@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use thymesim_fabric::{shared_link, FabricEngine, SharedLink};
 use thymesim_mem::{shared_dram, DramConfig, MemSystem, NoRemote, SharedDram};
 use thymesim_net::{LinkConfig, TreeConfig, TreeTopology};
-use thymesim_sim::{run_processes, Time};
+use thymesim_sim::{run_processes, Dur, Time};
 use thymesim_workloads::stream::{StreamConfig, StreamProcess};
 
 /// Several independent borrower–lender pairs advancing on one timeline.
@@ -86,9 +86,11 @@ pub fn build_congested_pairs(base: &TestbedConfig, uplink: LinkConfig, n: usize)
     let testbeds = (0..n)
         .map(|_| {
             let mut tb = Testbed::build(base).expect("pair attach");
-            tb.borrower
-                .remote_mut()
-                .set_shared_fabric(SharedLink::clone(&up), SharedLink::clone(&down));
+            tb.borrower.remote_mut().set_route(
+                vec![SharedLink::clone(&up)],
+                vec![SharedLink::clone(&down)],
+                Dur::ns(300),
+            );
             tb
         })
         .collect();

@@ -11,7 +11,8 @@
 //! path latency).
 
 use crate::config::TestbedConfig;
-use crate::experiments::validate::{stream_delay_sweep, validate_injection};
+use crate::experiments::validate::{stream_delay_point, validate_injection, StreamPoint};
+use crate::sweep;
 use serde::Serialize;
 use thymesim_sim::Dur;
 use thymesim_workloads::stream::StreamConfig;
@@ -84,28 +85,43 @@ pub struct SensitivityRow {
     pub floor_hi: f64,
 }
 
-fn headline(cfg: &TestbedConfig, stream: &StreamConfig) -> (f64, f64) {
-    let points = stream_delay_sweep(cfg, stream, &[1, 50, 150, 300]);
-    let v = validate_injection(&points);
-    (v.fit_slope_us_per_period, points[0].latency_us)
-}
+/// The PERIODs each configuration's headline metrics are fitted over.
+const TORNADO_PERIODS: [u64; 4] = [1, 50, 150, 300];
 
 /// Perturb each knob ±50% and report headline shifts (relative to base).
 ///
-/// The knob loop itself is serial: every internal `headline` call fans out
-/// through the swept [`stream_delay_sweep`], so parallelism *and*
-/// memoization already happen per simulated point — the right
-/// granularity, since neighbouring knobs share the unperturbed base
-/// points.
+/// The whole tornado — the base configuration, then each knob at 0.5
+/// and 1.5, each over `TORNADO_PERIODS` — is one parallel, memoized
+/// sweep, `sensitivity/tornado`, with the Fig. 2/3 point body.
 pub fn tornado(base: &TestbedConfig, stream: &StreamConfig) -> Vec<SensitivityRow> {
-    let (slope0, floor0) = headline(base, stream);
+    let configs: Vec<(TestbedConfig, StreamConfig)> = std::iter::once((base.clone(), *stream))
+        .chain(
+            ALL_KNOBS
+                .iter()
+                .flat_map(|&knob| [0.5, 1.5].map(|factor| apply(base, stream, knob, factor))),
+        )
+        .collect();
+    let grid: Vec<StreamPoint> = configs
+        .iter()
+        .flat_map(|(cfg, s)| TORNADO_PERIODS.map(|period| StreamPoint::new(cfg, s, period)))
+        .collect();
+    let points = sweep::run("sensitivity/tornado", &grid, |_ctx, pt| {
+        stream_delay_point(pt)
+    });
+    // (Fig. 2 slope, vanilla latency floor) per configuration, in grid order.
+    let headlines: Vec<(f64, f64)> = points
+        .chunks(TORNADO_PERIODS.len())
+        .map(|run| {
+            let v = validate_injection(run);
+            (v.fit_slope_us_per_period, run[0].latency_us)
+        })
+        .collect();
+    let (slope0, floor0) = headlines[0];
     let mut rows: Vec<SensitivityRow> = ALL_KNOBS
         .iter()
-        .map(|&knob| {
-            let (cfg_lo, s_lo) = apply(base, stream, knob, 0.5);
-            let (slope_lo, floor_lo) = headline(&cfg_lo, &s_lo);
-            let (cfg_hi, s_hi) = apply(base, stream, knob, 1.5);
-            let (slope_hi, floor_hi) = headline(&cfg_hi, &s_hi);
+        .zip(headlines[1..].chunks(2))
+        .map(|(&knob, lo_hi)| {
+            let [(slope_lo, floor_lo), (slope_hi, floor_hi)] = [lo_hi[0], lo_hi[1]];
             SensitivityRow {
                 knob,
                 slope_lo: slope_lo / slope0 - 1.0,

@@ -33,12 +33,45 @@ pub struct DelaySweepPoint {
 }
 
 /// Full configuration of one sweep point — the sweep key (and thus the
-/// memoization entry and the point's seed) hashes all of it.
+/// memoization entry) hashes all of it.
 #[derive(Clone, Debug, Serialize)]
-struct StreamPoint {
+pub(crate) struct StreamPoint {
     period: u64,
     cfg: TestbedConfig,
     stream: StreamConfig,
+}
+
+impl StreamPoint {
+    /// STREAM `stream` on `base` with the injector at `period`.
+    pub(crate) fn new(base: &TestbedConfig, stream: &StreamConfig, period: u64) -> StreamPoint {
+        StreamPoint {
+            period,
+            cfg: base.clone().with_period(period),
+            stream: *stream,
+        }
+    }
+}
+
+/// Simulate one delay point: STREAM on remote memory, reporting its
+/// latency, bandwidth and consumed-bandwidth × latency product. The
+/// point body of both the Fig. 2/3 sweep and the E15 tornado.
+pub(crate) fn stream_delay_point(pt: &StreamPoint) -> DelaySweepPoint {
+    let mut tb = Testbed::build(&pt.cfg).expect("validation periods must attach");
+    let report = crate::runners::run_stream(&mut tb, &pt.stream, crate::runners::Placement::Remote);
+    // Consumed fabric bandwidth: response lines over the run.
+    let reads = tb.borrower.remote().stats.reads;
+    let line = pt.cfg.fabric.line_bytes;
+    let elapsed = report.elapsed.as_secs_f64();
+    let consumed = reads as f64 * line as f64 / elapsed;
+    let latency_s = report.miss_latency_mean.as_secs_f64();
+    DelaySweepPoint {
+        period: pt.period,
+        latency_us: report.miss_latency_mean.as_us_f64(),
+        bandwidth_gib_s: report.best_bandwidth_gib_s(),
+        bdp_kib: consumed * latency_s / 1024.0,
+        triad_gib_s: report.triad.bandwidth_gib_s,
+        copy_gib_s: report.copy.bandwidth_gib_s,
+    }
 }
 
 /// Run STREAM at every PERIOD in `periods` (parallel across points; each
@@ -50,31 +83,10 @@ pub fn stream_delay_sweep(
 ) -> Vec<DelaySweepPoint> {
     let grid: Vec<StreamPoint> = periods
         .iter()
-        .map(|&period| StreamPoint {
-            period,
-            cfg: base.clone().with_period(period),
-            stream: *stream,
-        })
+        .map(|&period| StreamPoint::new(base, stream, period))
         .collect();
     let mut points = sweep::run("validate/stream-delay", &grid, |_ctx, pt| {
-        let mut tb =
-            crate::testbed::Testbed::build(&pt.cfg).expect("validation periods must attach");
-        let report =
-            crate::runners::run_stream(&mut tb, &pt.stream, crate::runners::Placement::Remote);
-        // Consumed fabric bandwidth: response lines over the run.
-        let reads = tb.borrower.remote().stats.reads;
-        let line = pt.cfg.fabric.line_bytes;
-        let elapsed = report.elapsed.as_secs_f64();
-        let consumed = reads as f64 * line as f64 / elapsed;
-        let latency_s = report.miss_latency_mean.as_secs_f64();
-        DelaySweepPoint {
-            period: pt.period,
-            latency_us: report.miss_latency_mean.as_us_f64(),
-            bandwidth_gib_s: report.best_bandwidth_gib_s(),
-            bdp_kib: consumed * latency_s / 1024.0,
-            triad_gib_s: report.triad.bandwidth_gib_s,
-            copy_gib_s: report.copy.bandwidth_gib_s,
-        }
+        stream_delay_point(pt)
     });
     points.sort_by_key(|p| p.period);
     points

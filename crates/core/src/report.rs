@@ -2,8 +2,7 @@
 //! (markdown + CSV), plus JSON for downstream tooling.
 
 use crate::experiments::apps::{Fig5Point, Table1Row};
-use crate::experiments::beyond::{CongestionPoint, EmulationReport, PoolingPoint, TopologyPoint};
-use crate::experiments::contention::{McbnPoint, MclnBankedPoint, MclnPoint};
+use crate::experiments::beyond::{EmulationReport, PoolingPoint};
 use crate::experiments::dist::DistPoint;
 use crate::experiments::placement::PlacementPoint;
 use crate::experiments::qos::{QosPoint, ServeTailPoint};
@@ -28,6 +27,37 @@ pub fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// A figure series whose columns are its row struct's fields, in
+/// declaration order: the header names the fields, integers print in
+/// full, floats through `fmt`, strings verbatim. `series_csv(&[])`
+/// prints nothing, since no row names the columns.
+pub fn series_csv<T: Serialize>(rows: &[T]) -> String {
+    fn fields(row: &serde::Value) -> &[(String, serde::Value)] {
+        row.as_object().expect("a series row is a struct")
+    }
+    let rows: Vec<serde::Value> = rows.iter().map(Serialize::to_value).collect();
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let header: Vec<&str> = fields(first).iter().map(|(k, _)| k.as_str()).collect();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            fields(row)
+                .iter()
+                .map(|(k, v)| match v {
+                    serde::Value::U64(n) => n.to_string(),
+                    serde::Value::I64(n) => n.to_string(),
+                    serde::Value::F64(x) => fmt(*x),
+                    serde::Value::Str(s) => s.clone(),
+                    other => panic!("series column {k} is not a scalar: {other:?}"),
+                })
+                .collect()
+        })
+        .collect();
+    csv(&header, &cells)
 }
 
 fn fmt(v: f64) -> String {
@@ -216,74 +246,6 @@ pub fn kernels_md(points: &[crate::experiments::apps::KernelScalePoint]) -> Stri
     s
 }
 
-/// Fig. 6 series as CSV.
-pub fn fig6_csv(points: &[McbnPoint]) -> String {
-    csv(
-        &["instances", "per_instance_gib_s", "aggregate_gib_s"],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.instances.to_string(),
-                    fmt(p.per_instance_gib_s),
-                    fmt(p.aggregate_gib_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// Fig. 7 series as CSV.
-pub fn fig7_csv(points: &[MclnPoint]) -> String {
-    csv(
-        &[
-            "lender_instances",
-            "borrower_gib_s",
-            "lender_aggregate_gib_s",
-        ],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.lender_instances.to_string(),
-                    fmt(p.borrower_gib_s),
-                    fmt(p.lender_aggregate_gib_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// Banked-DRAM MCLN variant as CSV: the Fig. 7 columns plus the
-/// row-buffer mechanism columns.
-pub fn fig7_banked_csv(points: &[MclnBankedPoint]) -> String {
-    csv(
-        &[
-            "lender_instances",
-            "borrower_gib_s",
-            "lender_aggregate_gib_s",
-            "row_hit_rate",
-            "row_conflict_rate",
-            "mean_queue_wait_ns",
-            "mean_read_ns",
-        ],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.lender_instances.to_string(),
-                    fmt(p.borrower_gib_s),
-                    fmt(p.lender_aggregate_gib_s),
-                    fmt(p.row_hit_rate),
-                    fmt(p.row_conflict_rate),
-                    fmt(p.mean_queue_wait_ns),
-                    fmt(p.mean_read_ns),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
 /// Distribution-panel results as a markdown table.
 pub fn dist_md(points: &[DistPoint]) -> String {
     let mut s = String::new();
@@ -307,24 +269,6 @@ pub fn dist_md(points: &[DistPoint]) -> String {
     s
 }
 
-/// E11 congestion sweep as CSV.
-pub fn congestion_csv(points: &[CongestionPoint]) -> String {
-    csv(
-        &["pairs", "fg_latency_us", "fg_p99_us", "fg_bandwidth_gib_s"],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.pairs.to_string(),
-                    fmt(p.fg_latency_us),
-                    fmt(p.fg_p99_us),
-                    fmt(p.fg_bandwidth_gib_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
 /// E11 emulation-fidelity verdict as markdown.
 pub fn emulation_md(r: &EmulationReport) -> String {
     let mut s = String::new();
@@ -346,29 +290,6 @@ pub fn emulation_md(r: &EmulationReport) -> String {
         fmt(r.injected_tail_ratio)
     );
     s
-}
-
-/// E11b topology comparison as CSV.
-pub fn topology_csv(points: &[TopologyPoint]) -> String {
-    csv(
-        &[
-            "placement",
-            "background_pairs",
-            "fg_latency_us",
-            "fg_bandwidth_gib_s",
-        ],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.placement.clone(),
-                    p.background_pairs.to_string(),
-                    fmt(p.fg_latency_us),
-                    fmt(p.fg_bandwidth_gib_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
 }
 
 /// E12 pooling sweep as CSV.
@@ -443,53 +364,6 @@ pub fn serve_tail_md(points: &[ServeTailPoint]) -> String {
         );
     }
     s
-}
-
-/// E17 serving tails as CSV (figure data for the sweep grid).
-pub fn serve_tail_csv(points: &[ServeTailPoint]) -> String {
-    csv(
-        &[
-            "period",
-            "contention",
-            "instances",
-            "policy",
-            "offered_ops_s",
-            "arrivals",
-            "admitted",
-            "dropped",
-            "sojourn_mean_us",
-            "sojourn_p50_us",
-            "sojourn_p99_us",
-            "sojourn_p999_us",
-            "sojourn_max_us",
-            "queue_wait_mean_us",
-            "queue_wait_p999_us",
-            "tail_ratio",
-        ],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.period.to_string(),
-                    p.contention.clone(),
-                    p.instances.to_string(),
-                    p.policy.clone(),
-                    fmt(p.offered_ops_s),
-                    p.arrivals.to_string(),
-                    p.admitted.to_string(),
-                    p.dropped.to_string(),
-                    fmt(p.sojourn_mean_us),
-                    fmt(p.sojourn_p50_us),
-                    fmt(p.sojourn_p99_us),
-                    fmt(p.sojourn_p999_us),
-                    fmt(p.sojourn_max_us),
-                    fmt(p.queue_wait_mean_us),
-                    fmt(p.queue_wait_p999_us),
-                    fmt(p.tail_ratio),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
 }
 
 /// E17 admission study as a markdown table: each policy against the
@@ -627,6 +501,7 @@ pub fn placement_md(points: &[PlacementPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::beyond::{CongestionPoint, TopologyPoint};
 
     #[test]
     fn csv_shapes_are_rectangular() {
@@ -705,7 +580,7 @@ mod tests {
 
     #[test]
     fn extension_renderers_are_wellformed() {
-        let c = congestion_csv(&[CongestionPoint {
+        let c = series_csv(&[CongestionPoint {
             pairs: 4,
             fg_latency_us: 6.6,
             fg_p99_us: 7.9,
@@ -713,6 +588,7 @@ mod tests {
         }]);
         assert!(c.starts_with("pairs,"));
         assert!(c.contains("4,6.600,7.900,2.300"));
+        assert_eq!(series_csv::<CongestionPoint>(&[]), "");
 
         let q = qos_md(&[crate::experiments::qos::QosPoint {
             policy: "migrated".into(),
@@ -722,7 +598,7 @@ mod tests {
         }]);
         assert!(q.contains("| migrated | 8.000 | 19.5 ms | 9.300x |"));
 
-        let t = topology_csv(&[TopologyPoint {
+        let t = series_csv(&[TopologyPoint {
             placement: "intra-rack".into(),
             background_pairs: 3,
             fg_latency_us: 2.1,
@@ -770,7 +646,7 @@ mod tests {
             md.contains("| 400 | mcbnx2 | 20000 | 21.4 | 12.5 | 58.7 | 146.8 | 151.2 | 6.876x |")
         );
 
-        let c = serve_tail_csv(&[serve_point()]);
+        let c = series_csv(&[serve_point()]);
         assert!(c.starts_with("period,contention,instances,policy,offered_ops_s,"));
         assert!(c.contains(
             "400,mcbn,2,open,20000,1500,1500,0,21.4,12.5,58.7,146.8,151.2,9.800,120.4,6.876"

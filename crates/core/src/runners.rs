@@ -477,7 +477,10 @@ mod tests {
         let kcfg = KvConfig::tiny();
         let report = run_kv(&mut tb, &kcfg, Placement::Remote);
         assert!(report.data_ok);
-        assert_eq!(report.requests, kcfg.total_requests());
+        assert_eq!(
+            report.requests,
+            kcfg.connections() as u64 * kcfg.requests_per_conn
+        );
         assert!(tb.borrower.remote().stats.reads > 0, "no remote traffic");
     }
 

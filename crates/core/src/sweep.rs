@@ -245,10 +245,7 @@ fn point_key(name: &str, config: &str) -> u64 {
 
 fn cache_path(dir: &Path, name: &str, key: u64) -> PathBuf {
     // Sweep names may contain '/' for readability; flatten for the fs.
-    let flat: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
+    let flat = thymesim_telemetry::flat_name(name);
     dir.join(format!("{flat}-{key:016x}.json"))
 }
 

@@ -102,11 +102,6 @@ impl Testbed {
     pub fn crash(&self) -> Option<Crash> {
         self.borrower.remote().health.crashed()
     }
-
-    /// Mean end-to-end latency of remote demand reads so far.
-    pub fn remote_read_latency_mean_us(&self) -> f64 {
-        self.borrower.remote().stats.read_latency.mean() / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +161,7 @@ mod tests {
         tb.borrower.access(Time::ZERO, a, false);
         assert_eq!(tb.borrower.remote().stats.read_latency.count(), before + 1);
         // The remote read had to queue behind lender traffic on the bus.
-        let lat_us = tb.remote_read_latency_mean_us();
+        let lat_us = tb.borrower.remote().stats.read_latency.mean() / 1e6;
         assert!(
             lat_us > 1.3,
             "expected bus queueing to inflate remote latency, got {lat_us} us"

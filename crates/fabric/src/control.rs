@@ -1,4 +1,4 @@
-//! The control plane: roles, memory reservation, attach/detach.
+//! The control plane: memory reservation, attach/detach.
 //!
 //! `libthymesisflow` "configures the FPGAs, and takes care of reserving the
 //! memory at the lender node and hot-plugging it to the borrower node"
@@ -13,18 +13,9 @@ use crate::failure::Crash;
 use crate::xlate::Segment;
 use thymesim_sim::{Dur, Time};
 
-/// Role assigned to a node by the control plane (§II-A: assignment is
-/// dynamic, based on memory demand and availability).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeRole {
-    Borrower,
-    Lender,
-}
-
 /// A span of lender memory set aside for one borrower.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Reservation {
-    pub id: u32,
     pub lender_base: u64,
     pub len: u64,
 }
@@ -79,8 +70,6 @@ pub struct ControlPlane {
     cfg: ControlConfig,
     lender_capacity: u64,
     reserved: u64,
-    next_id: u32,
-    reservations: Vec<Reservation>,
 }
 
 impl ControlPlane {
@@ -89,8 +78,6 @@ impl ControlPlane {
             cfg,
             lender_capacity,
             reserved: 0,
-            next_id: 0,
-            reservations: Vec::new(),
         }
     }
 
@@ -111,28 +98,11 @@ impl ControlPlane {
             });
         }
         let res = Reservation {
-            id: self.next_id,
             lender_base: self.reserved,
             len,
         };
-        self.next_id += 1;
         self.reserved += len;
-        self.reservations.push(res);
         Ok(res)
-    }
-
-    /// Release a reservation (only the most recent can truly return space
-    /// in this bump model; earlier ones are just forgotten — matching the
-    /// prototype, which tears reservations down only at detach).
-    pub fn release(&mut self, res: Reservation) {
-        self.reservations.retain(|r| r.id != res.id);
-        if res.lender_base + res.len == self.reserved {
-            self.reserved = res.lender_base;
-        }
-    }
-
-    pub fn reservations(&self) -> &[Reservation] {
-        &self.reservations
     }
 
     /// Hot-plug `res` into the borrower's address space at `borrower_base`.
@@ -177,43 +147,11 @@ impl ControlPlane {
         })
     }
 
-    /// Map an additional reservation into an already attached borrower
-    /// (the prototype can stitch several lender spans into one window).
-    /// Discovery already ran at attach; extending costs only a handful of
-    /// configuration writes through the (possibly delayed) fabric.
-    pub fn extend(
-        &self,
-        engine: &mut FabricEngine,
-        at: Time,
-        borrower_base: u64,
-        res: Reservation,
-    ) -> Result<Time, ExtendError> {
-        if !engine.is_attached() {
-            return Err(ExtendError::NotAttached);
-        }
-        let mut t = at;
-        for _ in 0..8 {
-            t = engine.config_rtt(t);
-        }
-        engine.xlate.map(Segment {
-            borrower_base,
-            lender_base: res.lender_base,
-            len: res.len,
-        });
-        Ok(t)
-    }
-
     /// Unmap and detach.
     pub fn detach(&self, engine: &mut FabricEngine, borrower_base: u64) {
         engine.xlate.unmap(borrower_base);
         engine.set_attached(false);
     }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExtendError {
-    /// Extension requires an attached window.
-    NotAttached,
 }
 
 #[cfg(test)]
@@ -244,9 +182,6 @@ mod tests {
         assert_eq!(a.lender_base, 0);
         assert_eq!(b.lender_base, 1 << 30);
         assert_eq!(cp.available(), (512 - 3) << 30);
-        cp.release(b);
-        assert_eq!(cp.available(), (512 - 1) << 30);
-        assert_eq!(cp.reservations().len(), 1);
     }
 
     #[test]
@@ -323,38 +258,6 @@ mod tests {
         cp.detach(&mut e, 1 << 40);
         assert!(!e.is_attached());
         assert!(e.xlate.translate(Addr(1 << 40)).is_err());
-    }
-
-    #[test]
-    fn extend_maps_additional_reservations() {
-        let mut e = engine(1);
-        let mut cp = plane();
-        let r1 = cp.reserve(1 << 30).unwrap();
-        let report = cp.attach(&mut e, Time::ZERO, 1 << 40, r1).unwrap();
-        let r2 = cp.reserve(1 << 30).unwrap();
-        let t = cp
-            .extend(&mut e, report.ready_at, (1 << 40) + (1 << 30), r2)
-            .unwrap();
-        assert!(t > report.ready_at);
-        // Both spans translate, to different lender offsets.
-        let a = e.xlate.translate(Addr(1 << 40)).unwrap();
-        let b = e.xlate.translate(Addr((1 << 40) + (1 << 30))).unwrap();
-        assert_ne!(a, b);
-        assert_eq!(e.xlate.mapped_bytes(), 2 << 30);
-        // Accesses to the extension work.
-        let done = e.fetch_line(t, Addr((1 << 40) + (1 << 30) + 4096));
-        assert!(done > t);
-    }
-
-    #[test]
-    fn extend_requires_attachment() {
-        let mut e = engine(1);
-        let mut cp = plane();
-        let r = cp.reserve(1 << 30).unwrap();
-        assert_eq!(
-            cp.extend(&mut e, Time::ZERO, 0, r),
-            Err(ExtendError::NotAttached)
-        );
     }
 
     #[test]

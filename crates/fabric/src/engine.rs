@@ -210,12 +210,6 @@ impl FabricEngine {
         }
     }
 
-    /// Route this engine's traffic through one shared switched segment
-    /// (both directions), as in an oversubscribed beyond-rack fabric.
-    pub fn set_shared_fabric(&mut self, uplink: SharedLink, downlink: SharedLink) {
-        self.set_route(vec![uplink], vec![downlink], Dur::ns(300));
-    }
-
     /// Route through an arbitrary multi-hop switched path: `out` hops
     /// toward the lender, `back` hops toward the borrower, each paying
     /// `hop_latency` of forwarding plus shared serialization.
@@ -680,8 +674,12 @@ mod tests {
         let down = shared_link(LinkConfig::copper_100g());
         let mut a = engine(DelaySpec::Period(1));
         let mut b = engine(DelaySpec::Period(1));
-        a.set_shared_fabric(SharedLink::clone(&up), SharedLink::clone(&down));
-        b.set_shared_fabric(up, down);
+        a.set_route(
+            vec![SharedLink::clone(&up)],
+            vec![SharedLink::clone(&down)],
+            Dur::ns(300),
+        );
+        b.set_route(vec![up], vec![down], Dur::ns(300));
         // Both engines stream closed-loop with a full window, interleaved
         // on the same virtual timeline.
         let n = 3000u64;

@@ -69,10 +69,6 @@ impl HealthMonitor {
     pub fn crashed(&self) -> Option<Crash> {
         self.crashed
     }
-
-    pub fn is_healthy(&self) -> bool {
-        self.crashed.is_none()
-    }
 }
 
 /// Scheduled link outages (e.g. a link flap followed by repair).
@@ -110,11 +106,6 @@ impl OutagePlan {
         t
     }
 
-    /// Total downtime scheduled.
-    pub fn total_downtime(&self) -> Dur {
-        self.windows.iter().map(|&(f, u)| u - f).sum()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
     }
@@ -129,7 +120,7 @@ mod tests {
         let mut m = HealthMonitor::default();
         assert!(m.observe(Time::us(1), Dur::us(1)).is_none());
         assert!(m.observe(Time::ms(1), Dur::ms(4)).is_none());
-        assert!(m.is_healthy());
+        assert!(m.crashed().is_none());
         assert_eq!(m.worst_latency, Dur::ms(4));
     }
 
@@ -141,7 +132,7 @@ mod tests {
             Some(Crash::MachineCheck { latency, .. }) => assert_eq!(latency, Dur::ms(150)),
             other => panic!("expected machine check, got {other:?}"),
         }
-        assert!(!m.is_healthy());
+        assert!(m.crashed().is_some());
     }
 
     #[test]
@@ -166,7 +157,6 @@ mod tests {
         assert_eq!(o.next_up(Time::us(10)), Time::us(50));
         assert_eq!(o.next_up(Time::us(49)), Time::us(50));
         assert_eq!(o.next_up(Time::us(50)), Time::us(50));
-        assert_eq!(o.total_downtime(), Dur::us(40));
     }
 
     #[test]

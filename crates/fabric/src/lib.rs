@@ -43,8 +43,7 @@ mod reference;
 pub mod xlate;
 
 pub use control::{
-    AttachError, AttachReport, ControlConfig, ControlPlane, ExtendError, NodeRole, Reservation,
-    ReserveError,
+    AttachError, AttachReport, ControlConfig, ControlPlane, Reservation, ReserveError,
 };
 pub use credit::CreditWindow;
 pub use engine::{DelaySpec, FabricConfig, FabricEngine, FabricStats};

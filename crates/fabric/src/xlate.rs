@@ -74,15 +74,6 @@ impl XlateTable {
             Err(TranslationFault(a))
         }
     }
-
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// Total mapped bytes.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +116,6 @@ mod tests {
         });
         assert_eq!(t.translate(Addr(100)), Ok((1 << 30) + 100));
         assert_eq!(t.translate(Addr(5000)), Ok((1 << 20) + 904));
-        assert_eq!(t.mapped_bytes(), 8192);
     }
 
     #[test]

@@ -70,25 +70,10 @@ impl AddressMap {
         }
     }
 
-    /// True if the address is mapped at all.
-    #[inline]
-    pub fn is_mapped(&self, a: Addr) -> bool {
-        a.0 < self.local_size
-            || (a.0 >= self.remote_base && a.0 < self.remote_base + self.remote_size)
-    }
-
     /// Address of the cache line containing `a`.
     #[inline]
     pub fn line_of(&self, a: Addr) -> Addr {
         Addr(a.0 & !(self.line - 1))
-    }
-
-    /// Translate a borrower-side remote address to the lender-side offset,
-    /// as the NIC's address-translation stage does.
-    #[inline]
-    pub fn remote_offset(&self, a: Addr) -> u64 {
-        debug_assert_eq!(self.region(a), Region::Remote);
-        a.0 - self.remote_base
     }
 
     pub fn remote_base_addr(&self) -> Addr {
@@ -133,18 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn remote_offset_translation() {
-        let m = map();
-        let a = m.remote_base_addr().offset(4096);
-        assert_eq!(m.remote_offset(a), 4096);
-    }
-
-    #[test]
     fn remote_base_is_line_aligned_with_guard() {
         let m = map();
         assert_eq!(m.remote_base % 128, 0);
         assert!(m.remote_base >= m.local_size + (1 << 30));
-        assert!(m.is_mapped(Addr(0)));
-        assert!(!m.is_mapped(Addr(m.local_size + 5)));
     }
 }

@@ -309,19 +309,6 @@ impl Cache {
         let base = set * self.cfg.ways;
         (0..self.cfg.ways).any(|w| self.tags[base + w] == tag)
     }
-
-    /// Invalidate everything (e.g. detach of the remote region).
-    pub fn flush(&mut self) -> u64 {
-        let mut dirty_lines = 0;
-        for i in 0..self.tags.len() {
-            if self.tags[i] != TAG_INVALID && self.dirty[i] {
-                dirty_lines += 1;
-            }
-            self.tags[i] = TAG_INVALID;
-            self.dirty[i] = false;
-        }
-        dirty_lines
-    }
 }
 
 #[cfg(test)]
@@ -443,17 +430,6 @@ mod tests {
         assert_eq!(c.stats.misses, 8);
         assert_eq!(c.stats.hits, 72);
         assert!((c.stats.hit_rate() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flush_invalidates_and_counts_dirty() {
-        let mut c = tiny();
-        c.access(Addr(0), true);
-        c.access(Addr(64), false);
-        let dirty = c.flush();
-        assert_eq!(dirty, 1);
-        assert!(!c.contains(Addr(0)));
-        assert!(!c.contains(Addr(64)));
     }
 
     #[test]

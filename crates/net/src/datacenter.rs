@@ -5,15 +5,14 @@
 //! "corresponds to the [0–90th]-percentile network latency in production
 //! datacenter networks", while 4 ms is "far beyond the 99th percentile".
 //! This module encodes an intra-datacenter latency profile approximating
-//! those published envelopes and exposes percentile queries for choosing
-//! sweep points and classifying injected delays.
+//! those published envelopes and exposes percentile queries for
+//! classifying injected delays.
 
 use thymesim_sim::Dur;
 
 /// A piecewise-linear latency CDF: `(percentile, latency)` knots.
 #[derive(Clone, Debug)]
 pub struct LatencyProfile {
-    name: &'static str,
     knots: Vec<(f64, Dur)>,
 }
 
@@ -24,7 +23,6 @@ impl LatencyProfile {
     /// ~1 ms at the 99th.
     pub fn intra_datacenter() -> LatencyProfile {
         LatencyProfile {
-            name: "intra-datacenter",
             knots: vec![
                 (0.0, Dur::us(1)),
                 (0.10, Dur::us(3)),
@@ -38,44 +36,6 @@ impl LatencyProfile {
                 (1.0, Dur::us(4000)),
             ],
         }
-    }
-
-    /// Intra-rack profile (ToR only): markedly tighter.
-    pub fn intra_rack() -> LatencyProfile {
-        LatencyProfile {
-            name: "intra-rack",
-            knots: vec![
-                (0.0, Dur::ns(800)),
-                (0.50, Dur::us(2)),
-                (0.90, Dur::us(10)),
-                (0.99, Dur::us(50)),
-                (1.0, Dur::us(200)),
-            ],
-        }
-    }
-
-    /// Build an empirical profile from measured samples (e.g. a congested
-    /// run's per-access latencies), for comparing emergent congestion
-    /// against published envelopes.
-    pub fn from_samples(mut samples: Vec<Dur>) -> LatencyProfile {
-        assert!(samples.len() >= 2, "need at least two samples");
-        samples.sort_unstable();
-        let n = samples.len();
-        let knots = [0.0, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0]
-            .iter()
-            .map(|&p: &f64| {
-                let idx = ((p * (n - 1) as f64).round() as usize).min(n - 1);
-                (p, samples[idx])
-            })
-            .collect();
-        LatencyProfile {
-            name: "empirical",
-            knots,
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Latency at percentile `p ∈ [0, 1]` (linear interpolation in ps).
@@ -161,35 +121,6 @@ mod tests {
         let p99 = prof.latency_at(0.99);
         assert!(Dur::ms(4) > p99, "4 ms must exceed p99 ({p99})");
         assert!(prof.percentile_of(Dur::ms(4)) > 0.999);
-    }
-
-    #[test]
-    fn rack_profile_is_tighter() {
-        let rack = LatencyProfile::intra_rack();
-        let dc = LatencyProfile::intra_datacenter();
-        for p in [0.5, 0.9, 0.99] {
-            assert!(rack.latency_at(p) < dc.latency_at(p), "at p={p}");
-        }
-        assert_eq!(rack.name(), "intra-rack");
-    }
-
-    #[test]
-    fn empirical_profile_matches_its_samples() {
-        let samples: Vec<Dur> = (1..=1000).map(Dur::us).collect();
-        let prof = LatencyProfile::from_samples(samples);
-        assert_eq!(prof.name(), "empirical");
-        let p50 = prof.latency_at(0.50);
-        assert!((p50.as_us_f64() - 500.0).abs() < 10.0, "p50 {p50}");
-        let p99 = prof.latency_at(0.99);
-        assert!((p99.as_us_f64() - 990.0).abs() < 10.0, "p99 {p99}");
-        // Inverse works on empirical knots too.
-        assert!((prof.percentile_of(Dur::us(750)) - 0.75).abs() < 0.02);
-    }
-
-    #[test]
-    #[should_panic(expected = "two samples")]
-    fn empirical_profile_rejects_tiny_input() {
-        let _ = LatencyProfile::from_samples(vec![Dur::us(1)]);
     }
 
     #[test]

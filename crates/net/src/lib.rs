@@ -1,10 +1,11 @@
 //! # thymesim-net
 //!
 //! The network substrate: serial point-to-point links with FIFO queueing
-//! ([`link`]), output-queued switches and multi-hop paths for the
-//! beyond-rack topologies the paper anticipates ([`switch`]), and
-//! published datacenter latency envelopes used to classify injected
-//! delays against production percentiles ([`datacenter`]).
+//! ([`link`]), an output-queued switch ([`switch`]), the rack/spine tree
+//! whose shared uplinks carry the beyond-rack topologies the paper
+//! anticipates ([`topology`]), and a published datacenter latency
+//! envelope used to classify injected delays against production
+//! percentiles ([`datacenter`]).
 
 //! ```
 //! use thymesim_net::*;
@@ -24,5 +25,5 @@ pub mod topology;
 
 pub use datacenter::LatencyProfile;
 pub use link::{shared_link, LinkConfig, SerialLink, SharedLink};
-pub use switch::{FabricNet, Path, Switch};
+pub use switch::Switch;
 pub use topology::{Route, TreeConfig, TreeTopology};

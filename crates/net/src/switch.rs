@@ -1,4 +1,4 @@
-//! Output-queued switch and multi-hop paths — the "beyond rack-scale"
+//! Output-queued switch — a building block of the "beyond rack-scale"
 //! fabric the paper's characterization anticipates.
 //!
 //! Each switch port's egress is a [`SerialLink`]; a message crossing the
@@ -48,56 +48,6 @@ impl Switch {
     }
 }
 
-/// A route from borrower to lender: an access link, zero or more
-/// (switch, out-port) hops, each followed by its egress wire.
-pub struct Path {
-    /// First hop: the sender's NIC egress wire.
-    pub access: SerialLink,
-    /// Subsequent switch hops (switch index managed by the caller).
-    hops: Vec<(usize, usize)>, // (switch id, out port)
-}
-
-/// A small fabric: switches indexed by id, plus helper to push a message
-/// along a path.
-pub struct FabricNet {
-    pub switches: Vec<Switch>,
-}
-
-impl FabricNet {
-    pub fn new(switches: Vec<Switch>) -> FabricNet {
-        FabricNet { switches }
-    }
-
-    /// Deliver a message along `path`, returning final arrival time.
-    pub fn transfer(&mut self, path: &mut Path, at: Time, bytes: u64) -> Time {
-        let mut t = path.access.send(at, bytes);
-        for &(sw, port) in &path.hops {
-            t = self.switches[sw].forward(t, port, bytes);
-        }
-        t
-    }
-}
-
-impl Path {
-    pub fn direct(access: LinkConfig) -> Path {
-        Path {
-            access: SerialLink::new(access),
-            hops: Vec::new(),
-        }
-    }
-
-    pub fn through(access: LinkConfig, hops: Vec<(usize, usize)>) -> Path {
-        Path {
-            access: SerialLink::new(access),
-            hops,
-        }
-    }
-
-    pub fn hop_count(&self) -> usize {
-        self.hops.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,22 +60,11 @@ mod tests {
     }
 
     #[test]
-    fn direct_path_is_just_the_link() {
-        let mut net = FabricNet::new(vec![]);
-        let mut p = Path::direct(fast_link());
-        let t = net.transfer(&mut p, Time::ZERO, 128);
-        assert_eq!(t, Time::ps(10_240 + 50_000));
-        assert_eq!(p.hop_count(), 0);
-    }
-
-    #[test]
     fn each_hop_adds_latency() {
         let sw = || Switch::new(4, fast_link(), Dur::ns(300));
-        let mut net = FabricNet::new(vec![sw(), sw()]);
-        let mut direct = Path::direct(fast_link());
-        let mut two_hop = Path::through(fast_link(), vec![(0, 1), (1, 2)]);
-        let t0 = net.transfer(&mut direct, Time::ZERO, 128);
-        let t2 = net.transfer(&mut two_hop, Time::ZERO, 128);
+        let (mut s0, mut s1) = (sw(), sw());
+        let t0 = SerialLink::new(fast_link()).send(Time::ZERO, 128);
+        let t2 = s1.forward(s0.forward(t0, 1, 128), 2, 128);
         // Two extra (forward + serialize + propagate) legs.
         let per_hop = Dur::ns(300) + Dur::ps(10_240) + Dur::ns(50);
         assert_eq!(t2, t0 + per_hop + per_hop);
@@ -133,20 +72,19 @@ mod tests {
 
     #[test]
     fn converging_flows_congest_the_output_port() {
-        // Two flows share switch 0 port 3: the second message queues.
-        let mut net = FabricNet::new(vec![Switch::new(
+        // Two flows arrive together and share port 3: the second queues.
+        let mut sw = Switch::new(
             4,
             LinkConfig {
                 bits_per_sec: 80e9,
                 propagation: Dur::ZERO,
             },
             Dur::ZERO,
-        )]);
-        let mut a = Path::through(fast_link(), vec![(0, 3)]);
-        let mut b = Path::through(fast_link(), vec![(0, 3)]);
+        );
         let big = 100_000u64; // 10 us at 10 GB/s on the shared egress
-        let ta = net.transfer(&mut a, Time::ZERO, big);
-        let tb = net.transfer(&mut b, Time::ZERO, big);
+        let arrive = SerialLink::new(fast_link()).send(Time::ZERO, big);
+        let ta = sw.forward(arrive, 3, big);
+        let tb = sw.forward(arrive, 3, big);
         assert!(tb > ta, "second flow must queue behind the first");
         // The queued flow finishes one full egress serialization (10 us at
         // 10 GB/s) after the first.
@@ -155,11 +93,10 @@ mod tests {
 
     #[test]
     fn distinct_output_ports_do_not_interfere() {
-        let mut net = FabricNet::new(vec![Switch::new(4, fast_link(), Dur::ZERO)]);
-        let mut a = Path::through(fast_link(), vec![(0, 0)]);
-        let mut b = Path::through(fast_link(), vec![(0, 1)]);
-        let ta = net.transfer(&mut a, Time::ZERO, 100_000);
-        let tb = net.transfer(&mut b, Time::ZERO, 100_000);
+        let mut sw = Switch::new(4, fast_link(), Dur::ZERO);
+        let arrive = SerialLink::new(fast_link()).send(Time::ZERO, 100_000);
+        let ta = sw.forward(arrive, 0, 100_000);
+        let tb = sw.forward(arrive, 1, 100_000);
         assert_eq!(ta, tb, "different ports must not queue on each other");
     }
 

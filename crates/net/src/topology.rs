@@ -112,11 +112,6 @@ impl TreeTopology {
         };
         (fwd, rev)
     }
-
-    /// Total bytes that crossed rack `r`'s uplink.
-    pub fn uplink_bytes(&self, r: usize) -> u64 {
-        self.up[r].borrow().bytes_sent
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +136,7 @@ mod tests {
         let a = r1.hops[0].borrow_mut().send(Time::ZERO, big);
         let b = r2.hops[0].borrow_mut().send(Time::ZERO, big);
         assert!(b > a, "second flow must queue on the shared uplink");
-        assert_eq!(t.uplink_bytes(0), 2 * big);
+        assert_eq!(t.up[0].borrow().bytes_sent, 2 * big);
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
         let t = TreeTopology::new(TreeConfig::default());
         let r = t.route(1, 1);
         r.hops[0].borrow_mut().send(Time::ZERO, 4096);
-        assert_eq!(t.uplink_bytes(1), 0);
+        assert_eq!(t.up[1].borrow().bytes_sent, 0);
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub struct Time(pub u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(pub u64);
 
-pub const PS: u64 = 1;
 pub const NS: u64 = 1_000;
 pub const US: u64 = 1_000_000;
 pub const MS: u64 = 1_000_000_000;
@@ -285,10 +284,6 @@ impl Clock {
         }
     }
 
-    pub fn ghz(ghz: u64) -> Clock {
-        Clock::mhz(ghz * 1000)
-    }
-
     #[inline]
     pub fn cycle(self) -> Dur {
         Dur(self.cycle_ps)
@@ -396,7 +391,7 @@ mod tests {
         assert_eq!(fpga.cycles_at(Time::ns(4)), 1);
         assert_eq!(fpga.cycles_at(Time::ns(3)), 0);
         assert_eq!(fpga.time_of_cycle(1000), Time::us(4));
-        let cpu = Clock::ghz(2);
+        let cpu = Clock::mhz(2000);
         assert_eq!(cpu.cycle(), Dur::ps(500));
     }
 

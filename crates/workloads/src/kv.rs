@@ -92,10 +92,6 @@ impl KvConfig {
         self.client_threads * self.conns_per_thread
     }
 
-    pub fn total_requests(&self) -> u64 {
-        self.connections() as u64 * self.requests_per_conn
-    }
-
     /// Approximate resident working set.
     pub fn working_set_bytes(&self) -> u64 {
         self.keys * (self.value_bytes + ENTRY_HEADER_BYTES)
@@ -413,7 +409,10 @@ mod tests {
         let cfg = KvConfig::tiny();
         let (mut s, store) = setup(&cfg);
         let report = run_memtier(&cfg, &mut s, &store);
-        assert_eq!(report.requests, cfg.total_requests());
+        assert_eq!(
+            report.requests,
+            cfg.connections() as u64 * cfg.requests_per_conn
+        );
         assert!(report.data_ok);
         assert!(report.ops_per_sec > 0.0);
         assert_eq!(report.gets + report.sets, report.requests);

@@ -169,9 +169,36 @@ fn tracing_never_changes_results_and_traces_are_deterministic() {
     );
     assert!(text.contains("\"schema\""));
 
+    // E15's tornado runs the Fig. 2/3 point body under its own sweep
+    // name: tracing it leaves the validate entry as the delay sweep
+    // exported it, and records the whole tornado grid (base plus six
+    // knobs at two factors, four periods each) as one sweep.
+    let dir_c = temp_dir("c");
+    let _ = std::fs::remove_dir_all(&dir_c);
+    thymesim_telemetry::disable();
+    thymesim_telemetry::configure(TraceConfig {
+        dir: dir_c.clone(),
+        ..Default::default()
+    });
+    run(4);
+    tornado(&base, &stream_cfg());
+    let points_of = |name: &str| {
+        thymesim_telemetry::summaries()
+            .into_iter()
+            .find(|s| s.sweep == name)
+            .map(|s| s.points)
+    };
+    assert_eq!(
+        points_of("validate/stream-delay"),
+        Some(periods.len()),
+        "the tornado must not overwrite the delay sweep's export"
+    );
+    assert_eq!(points_of("sensitivity/tornado"), Some(52));
+
     // Leave the process-global state clean for any later test.
     thymesim_telemetry::disable();
     sweep::configure(SweepOptions::default());
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+    let _ = std::fs::remove_dir_all(&dir_c);
 }
