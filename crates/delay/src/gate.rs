@@ -22,6 +22,13 @@ use thymesim_axi::stage::{passthrough_offer, Flags, Offers, Stage, NO_FLAGS, NO_
 pub trait PeriodSource {
     /// PERIOD in effect at `cycle`; must be ≥ 1.
     fn period_at(&self, cycle: u64) -> u64;
+
+    /// `Some(p)` when PERIOD is `p` at every cycle. A constant source
+    /// lets [`crate::AnalyticGate`] grant without re-aligning.
+    #[inline]
+    fn constant(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// The paper's configuration: one constant PERIOD for the whole run.
@@ -32,6 +39,11 @@ impl PeriodSource for ConstPeriod {
     #[inline]
     fn period_at(&self, _cycle: u64) -> u64 {
         self.0
+    }
+
+    #[inline]
+    fn constant(&self) -> Option<u64> {
+        Some(self.0)
     }
 }
 

@@ -12,6 +12,14 @@
 //! * since consecutive multiples differ by exactly `PERIOD`, that is
 //!   `align_up(max(a, prev_grant + 1), PERIOD)`.
 //!
+//! For a constant PERIOD `p` every grant `g` is a multiple of `p`, so the
+//! next multiple after it is `g + p`: a beat offered at `a ≤ g + p` fires
+//! at `g + p` with no division, and any later beat at `align_up(a, p)`
+//! (just `a` when `p = 1`). In the time domain the test is
+//! `at ≤ time_of_cycle(g + p)`, which also skips rounding `at` up to a
+//! cycle edge. Only a non-constant [`PeriodSource`] takes the re-align
+//! loop.
+//!
 //! The equivalence is additionally enforced by property tests against the
 //! cycle-accurate gate (see `tests` below).
 
@@ -57,6 +65,21 @@ impl<P: PeriodSource> AnalyticGate<P> {
     /// Grant cycle for a beat that becomes valid at absolute cycle `a`.
     #[inline]
     pub fn grant_cycle(&mut self, a: u64) -> u64 {
+        let slot = match self.period.constant() {
+            Some(p) => match self.last_grant {
+                Some(g) if a <= g + p => g + p,
+                _ if p == 1 => a,
+                _ => align_up(a, p),
+            },
+            None => self.realign(a),
+        };
+        self.last_grant = Some(slot);
+        self.granted += 1;
+        slot
+    }
+
+    /// Grant cycle under a PERIOD that may change over time.
+    fn realign(&self, a: u64) -> u64 {
         let earliest = match self.last_grant {
             Some(g) => a.max(g + 1),
             None => a,
@@ -74,8 +97,6 @@ impl<P: PeriodSource> AnalyticGate<P> {
             }
             slot = aligned;
         }
-        self.last_grant = Some(slot);
-        self.granted += 1;
         slot
     }
 
@@ -86,7 +107,13 @@ impl<P: PeriodSource> AnalyticGate<P> {
     /// full cycle later (the transfer occupies the granted cycle).
     #[inline]
     pub fn pass_one(&mut self, at: Time) -> Time {
-        let a = self.clock.cycles_at(self.clock.next_edge(at));
+        // The cycle of the first edge at or after `at`; a beat offered by
+        // the next constant-PERIOD slot takes that slot whatever its
+        // exact cycle, so the slot itself stands in without a division.
+        let a = match (self.period.constant(), self.last_grant) {
+            (Some(p), Some(g)) if at <= self.clock.time_of_cycle(g + p) => g + p,
+            _ => at.as_ps().div_ceil(self.clock.cycle().as_ps()),
+        };
         let g = self.grant_cycle(a);
         let t = self.clock.time_of_cycle(g + 1);
         // Injected-delay accounting: arrival-to-crossing per beat.
@@ -264,6 +291,46 @@ mod tests {
             let got = analytic_fire_cycles(&ConstPeriod(period), gap, n);
             prop_assert_eq!(want.len(), n as usize, "cycle sim incomplete");
             prop_assert_eq!(got, want);
+        }
+
+        /// The constant-PERIOD shortcuts give the general re-align path's
+        /// crossing times for arbitrary unsorted picosecond arrivals,
+        /// before and after a reset. Each op picks its arrival: anywhere;
+        /// one picosecond before, on or after the edge of one of the
+        /// next `2p + 2` cycles past the latest grant (where the
+        /// shortcut's `a ≤ g + p` test flips); or before that grant.
+        #[test]
+        fn prop_const_shortcut_equals_general_path(
+            // PERIOD 1 (the vanilla prototype) skips the align step.
+            period in prop_oneof![1u64..3, 1u64..300],
+            ops in proptest::collection::vec(0u64..1 << 40, 1..150),
+            reset_at in 0usize..150,
+        ) {
+            let c = fpga().cycle().as_ps();
+            let mut fast = AnalyticGate::new(ConstPeriod(period), fpga());
+            let mut general = AnalyticGate::new(PiecewisePeriod::new(vec![(0, period)]), fpga());
+            let mut last_grant = 0u64;
+            for (i, &op) in ops.iter().enumerate() {
+                if i == reset_at {
+                    fast.reset();
+                    general.reset();
+                }
+                let x = op / 3;
+                let ps = match op % 3 {
+                    0 => x % (1 << 28),
+                    1 => {
+                        let edge = (last_grant + x % (2 * period + 3)) * c;
+                        (edge + 1).saturating_sub(x / 1024 % 3)
+                    }
+                    _ => x % (last_grant * c + 1),
+                };
+                let at = Time::ps(ps);
+                let (f, g) = (fast.pass_one(at), general.pass_one(at));
+                prop_assert_eq!(f, g, "arrival {} at {} ps", i, ps);
+                // A beat crosses one cycle after its grant.
+                last_grant = f.as_ps() / c - 1;
+            }
+            prop_assert_eq!(fast.granted, general.granted);
         }
 
         /// Grant invariants hold for arbitrary arrival sequences.

@@ -6,15 +6,16 @@
 //! (§IV-B, Fig. 3): in steady state exactly `window × line` bytes are in
 //! flight regardless of the injected delay.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use thymesim_sim::Time;
 
 /// A sliding window of at most `cap` outstanding transactions.
 #[derive(Debug)]
 pub struct CreditWindow {
     cap: usize,
-    inflight: BinaryHeap<Reverse<u64>>, // completion times (ps)
+    /// Completion times (ps), ascending: the front is the next credit
+    /// to free.
+    inflight: VecDeque<u64>,
     /// Start of the current constant-occupancy segment (telemetry only):
     /// the occupancy timeline is emitted as exact level segments, one per
     /// interval over which `inflight.len()` is unchanged. The final
@@ -36,7 +37,7 @@ impl CreditWindow {
         }
         CreditWindow {
             cap,
-            inflight: BinaryHeap::with_capacity(cap + 1),
+            inflight: VecDeque::with_capacity(cap + 1),
             level_since: Time::ZERO,
             tracked,
         }
@@ -66,10 +67,10 @@ impl CreditWindow {
     pub fn acquire(&mut self, at: Time) -> Time {
         // Retire transactions that completed by `at`, one at a time in
         // completion order so the occupancy timeline is exact.
-        while let Some(&Reverse(done)) = self.inflight.peek() {
+        while let Some(&done) = self.inflight.front() {
             if done <= at.as_ps() {
                 self.note_level(Time(done));
-                self.inflight.pop();
+                self.inflight.pop_front();
             } else {
                 break;
             }
@@ -77,9 +78,9 @@ impl CreditWindow {
         let t = if self.inflight.len() < self.cap {
             at
         } else {
-            let Reverse(done) = *self.inflight.peek().expect("window non-empty");
+            let done = *self.inflight.front().expect("window non-empty");
             self.note_level(Time(done));
-            self.inflight.pop();
+            self.inflight.pop_front();
             Time(done).max2(at)
         };
         self.note_level(t);
@@ -92,21 +93,26 @@ impl CreditWindow {
     }
 
     /// Register the completion time of the transaction just admitted.
+    ///
+    /// Completions through one FIFO return link arrive in order, so the
+    /// append is the common case; an earlier one is inserted in place.
     pub fn complete_at(&mut self, done: Time) {
-        self.inflight.push(Reverse(done.as_ps()));
-    }
-
-    /// Convenience: admit at `at` and immediately register completion.
-    pub fn admit(&mut self, at: Time, completes: Time) -> Time {
-        let t = self.acquire(at);
-        self.complete_at(completes);
-        t
+        let done = done.as_ps();
+        if self.inflight.back().is_none_or(|&last| last <= done) {
+            self.inflight.push_back(done);
+        } else {
+            let i = self.inflight.partition_point(|&d| d <= done);
+            self.inflight.insert(i, done);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
     use thymesim_sim::Dur;
 
     #[test]
@@ -123,8 +129,10 @@ mod tests {
     #[test]
     fn full_window_waits_for_earliest_completion() {
         let mut w = CreditWindow::new(2);
-        w.admit(Time::ZERO, Time::ns(100));
-        w.admit(Time::ZERO, Time::ns(50));
+        w.acquire(Time::ZERO);
+        w.complete_at(Time::ns(100));
+        w.acquire(Time::ZERO);
+        w.complete_at(Time::ns(50));
         // Window full; next admission waits for the *earliest* completion (50).
         let t = w.acquire(Time::ZERO);
         assert_eq!(t, Time::ns(50));
@@ -136,7 +144,8 @@ mod tests {
     #[test]
     fn completed_transactions_free_credits() {
         let mut w = CreditWindow::new(1);
-        w.admit(Time::ZERO, Time::ns(10));
+        w.acquire(Time::ZERO);
+        w.complete_at(Time::ns(10));
         // At t=20 the old transaction already completed: no wait.
         let t = w.acquire(Time::ns(20));
         assert_eq!(t, Time::ns(20));
@@ -163,6 +172,54 @@ mod tests {
             (got / expect - 1.0).abs() < 0.02,
             "expected ~{expect}s, got {got}s"
         );
+    }
+
+    /// Reference window for the differential test: completion times in
+    /// a min-heap, which needs no ordering of `complete_at` calls.
+    struct HeapWindow {
+        cap: usize,
+        inflight: BinaryHeap<Reverse<u64>>,
+    }
+
+    impl HeapWindow {
+        fn acquire(&mut self, at: u64) -> u64 {
+            while self.inflight.peek().is_some_and(|&Reverse(d)| d <= at) {
+                self.inflight.pop();
+            }
+            if self.inflight.len() < self.cap {
+                at
+            } else {
+                let Reverse(done) = self.inflight.pop().expect("window non-empty");
+                done.max(at)
+            }
+        }
+    }
+
+    proptest! {
+        /// Admission times equal the min-heap oracle's for arbitrary
+        /// arrivals and completions, in order or not.
+        #[test]
+        fn prop_ring_admits_like_heap(
+            cap in 1usize..12,
+            // Each op packs (arrival < 5000, latency < 3000, monotone?).
+            ops in proptest::collection::vec(0u64..2 * 3_000 * 5_000, 1..300),
+        ) {
+            let mut ring = CreditWindow::new(cap);
+            let mut heap = HeapWindow { cap, inflight: BinaryHeap::new() };
+            let mut last_done = 0u64;
+            for (i, &op) in ops.iter().enumerate() {
+                let (at, lat, monotone) = (op % 5_000, op / 5_000 % 3_000, op >= 3_000 * 5_000);
+                let t = ring.acquire(Time(at));
+                prop_assert_eq!(t.as_ps(), heap.acquire(at), "admission {}", i);
+                // Monotone completions take the append, the rest the
+                // sorted insert.
+                let done = if monotone { last_done.max(t.as_ps()) + lat } else { t.as_ps() + lat };
+                last_done = last_done.max(done);
+                ring.complete_at(Time(done));
+                heap.inflight.push(Reverse(done));
+                prop_assert_eq!(ring.outstanding(), heap.inflight.len());
+            }
+        }
     }
 
     #[test]

@@ -177,7 +177,6 @@ pub struct FabricEngine {
     pub outages: OutagePlan,
     pub stats: FabricStats,
     attached: bool,
-    next_tag: u32,
 }
 
 impl FabricEngine {
@@ -202,7 +201,6 @@ impl FabricEngine {
             stats: FabricStats::default(),
             attached: false,
             xlate: XlateTable::new(),
-            next_tag: 0,
             route_out: Vec::new(),
             route_back: Vec::new(),
             hop_latency: Dur::ns(300),
@@ -241,12 +239,6 @@ impl FabricEngine {
 
     pub fn window(&self) -> &CreditWindow {
         &self.window
-    }
-
-    fn alloc_tag(&mut self) -> u32 {
-        let t = self.next_tag;
-        self.next_tag = self.next_tag.wrapping_add(1);
-        t
     }
 
     /// One-way trip of a message from the borrower egress to the lender
@@ -296,7 +288,6 @@ impl FabricEngine {
     /// credit window — MMIO reads are strictly sequential anyway.
     pub fn config_rtt(&mut self, at: Time) -> Time {
         self.stats.config_reads += 1;
-        let _tag = self.alloc_tag();
         let t_lender = self.outbound(at, PacketKind::ConfigRead);
         // Config registers answer from the FPGA itself: no DRAM access.
         self.inbound(t_lender, HEADER_BYTES)
@@ -313,7 +304,6 @@ impl RemoteBackend for FabricEngine {
             .xlate
             .translate(addr)
             .unwrap_or_else(|f| panic!("NIC translation fault: {f:?}"));
-        let _tag = self.alloc_tag();
         self.stats.reads += 1;
         thymesim_telemetry::add("fabric.reads", 1);
 

@@ -35,6 +35,10 @@ impl LinkConfig {
 pub struct SerialLink {
     cfg: LinkConfig,
     ps_per_byte: f64,
+    /// Serialization times of the last two sizes computed: a NIC's TX
+    /// alternates request headers with write-backs, so both stay. The
+    /// initial `(0 B, 0 ps)` is the exact time of an empty message.
+    ser_memo: [(u64, Dur); 2],
     next_free: Time,
     pub bytes_sent: u64,
     pub messages: u64,
@@ -53,6 +57,7 @@ impl SerialLink {
         SerialLink {
             cfg,
             ps_per_byte: 8.0e12 / cfg.bits_per_sec,
+            ser_memo: [(0, Dur::ZERO); 2],
             next_free: Time::ZERO,
             bytes_sent: 0,
             messages: 0,
@@ -87,10 +92,21 @@ impl SerialLink {
         self.cfg
     }
 
+    /// Time the wire is occupied by a message of `bytes` bytes.
+    #[inline]
+    fn serialization(&mut self, bytes: u64) -> Dur {
+        if let Some(&(_, ser)) = self.ser_memo.iter().find(|&&(b, _)| b == bytes) {
+            return ser;
+        }
+        let ser = Dur::ps((bytes as f64 * self.ps_per_byte).round() as u64);
+        self.ser_memo = [(bytes, ser), self.ser_memo[0]];
+        ser
+    }
+
     /// Transmit a message; returns its arrival time at the far end.
     pub fn send(&mut self, at: Time, bytes: u64) -> Time {
         let start = at.max2(self.next_free);
-        let ser = Dur::ps((bytes as f64 * self.ps_per_byte).round() as u64);
+        let ser = self.serialization(bytes);
         self.next_free = start + ser;
         self.bytes_sent += bytes;
         self.messages += 1;
@@ -171,6 +187,30 @@ mod tests {
         assert!(t < Time::us(11));
         assert_eq!(l.messages, 2);
         assert_eq!(l.bytes_sent, 256);
+    }
+
+    #[test]
+    fn memoized_serialization_matches_the_formula() {
+        // A rate whose per-byte time is not an integer, so rounding counts.
+        let cfg = LinkConfig {
+            bits_per_sec: 37e9,
+            propagation: Dur::ns(3),
+        };
+        let mut l = SerialLink::new(cfg);
+        let ps_per_byte = 8.0e12 / cfg.bits_per_sec;
+        let mut next_free = Time::ZERO;
+        let sizes = [0u64, 32, 160, 32, 160, 0, 7, 7, 160, 1 << 20, 32];
+        for (i, &bytes) in sizes.iter().cycle().take(200).enumerate() {
+            let at = Time::ps(i as u64 * 2_345);
+            let start = at.max2(next_free);
+            let ser = Dur::ps((bytes as f64 * ps_per_byte).round() as u64);
+            next_free = start + ser;
+            assert_eq!(
+                l.send(at, bytes),
+                start + ser + cfg.propagation,
+                "message {i} of {bytes} B"
+            );
+        }
     }
 
     #[test]

@@ -153,15 +153,22 @@ impl StreamArrays {
     }
 
     /// STREAM's canonical initialization (untimed, as in the original's
-    /// unmeasured init loop).
+    /// unmeasured init loop), written as bulk runs of `INIT_RUN` elements.
     pub fn init<R: RemoteBackend>(&self, sys: &mut MemSystem<R>) {
-        for j in 0..self.a.len() {
-            self.a.set_raw(sys, j, 1.0);
-            self.b.set_raw(sys, j, 2.0);
-            self.c.set_raw(sys, j, 0.0);
+        for (v, x) in [(self.a, 1.0), (self.b, 2.0), (self.c, 0.0)] {
+            let run = [x; INIT_RUN];
+            let mut j = 0;
+            while j < v.len() {
+                let n = (v.len() - j).min(INIT_RUN as u64);
+                v.set_raw_run(sys, j, &run[..n as usize]);
+                j += n;
+            }
         }
     }
 }
+
+/// Elements per bulk write in [`StreamArrays::init`].
+const INIT_RUN: usize = 1024;
 
 /// Phase cursor: (repetition, kernel index, line index).
 #[derive(Clone, Copy, Debug)]
@@ -497,6 +504,37 @@ mod tests {
         let p = StreamProcess::new(cfg, arrays, Time::ZERO);
         let report = p.run_to_completion(&mut sys);
         (report, sys)
+    }
+
+    /// `init`'s bulk runs leave the same backing bytes and pages as one
+    /// `set_raw` per element, for lengths that fill no run, a whole run,
+    /// and runs that cross pages with a partial tail.
+    #[test]
+    fn init_matches_the_per_element_loop() {
+        for elements in [1, 5, INIT_RUN as u64, 9 * INIT_RUN as u64 + 17] {
+            let (mut bulk, mut each) = (local_sys(), local_sys());
+            let mut arena = Arena::new(Addr(0), 64 << 20);
+            let arrays = StreamArrays::alloc(&mut arena, elements);
+            arrays.init(&mut bulk);
+            for j in 0..elements {
+                arrays.a.set_raw(&mut each, j, 1.0);
+                arrays.b.set_raw(&mut each, j, 2.0);
+                arrays.c.set_raw(&mut each, j, 0.0);
+            }
+            let (bulk, each) = (bulk.backing(), each.backing());
+            assert_eq!(
+                bulk.resident_bytes(),
+                each.resident_bytes(),
+                "{elements} elements"
+            );
+            for a in (0..arena.used() + (1 << 16)).step_by(8) {
+                assert_eq!(
+                    bulk.read_u64(Addr(a)),
+                    each.read_u64(Addr(a)),
+                    "{elements} elements, byte {a}"
+                );
+            }
+        }
     }
 
     #[test]
