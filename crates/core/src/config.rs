@@ -112,6 +112,10 @@ mod tests {
         assert_eq!(c.fabric.line_bytes, 128);
         assert_eq!(c.borrower.cache.capacity_bytes(), 120 << 20);
         assert_eq!(c.period(), Some(1), "vanilla prototype is PERIOD=1");
+        // DESIGN §4: LLC hit 4 ns; local DRAM 120 ns at 140 GB/s.
+        assert_eq!(c.borrower.timing.llc_hit, thymesim_sim::Dur::ns(4));
+        assert_eq!(c.borrower.dram.latency, thymesim_sim::Dur::ns(120));
+        assert_eq!(c.borrower.dram.bandwidth_bytes_per_sec, 140e9);
     }
 
     #[test]

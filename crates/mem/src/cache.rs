@@ -77,9 +77,6 @@ impl CacheStats {
     }
 }
 
-/// The windowed miss-rate track every timed LLC access deposits into.
-pub(crate) const LLC_MISS_RATE: &str = "mem.llc_miss_rate";
-
 /// Sentinel tag marking an empty way. Unreachable as a real tag: a tag is
 /// `addr >> (line_shift + set_shift)`, so all-ones would require an
 /// address with every bit set in a ≥64-byte-line cache.
@@ -99,6 +96,8 @@ pub struct Cache {
     cfg: CacheConfig,
     set_mask: u64,
     line_shift: u32,
+    /// `log2(sets)`: a line number's tag is `lineno >> set_shift`.
+    set_shift: u32,
     tags: Vec<u64>,
     dirty: Vec<bool>,
     stamp: Vec<u64>,
@@ -118,6 +117,7 @@ impl Cache {
             cfg,
             set_mask: cfg.sets as u64 - 1,
             line_shift: cfg.line.trailing_zeros(),
+            set_shift: cfg.sets.trailing_zeros(),
             tags: vec![TAG_INVALID; n],
             dirty: vec![false; n],
             stamp: vec![0; n],
@@ -134,10 +134,7 @@ impl Cache {
     #[inline]
     fn set_and_tag(&self, a: Addr) -> (usize, u64) {
         let lineno = a.0 >> self.line_shift;
-        (
-            (lineno & self.set_mask) as usize,
-            lineno >> self.cfg.sets.trailing_zeros(),
-        )
+        ((lineno & self.set_mask) as usize, lineno >> self.set_shift)
     }
 
     /// Access the line containing `a`; allocates on miss (write-allocate
@@ -154,17 +151,20 @@ impl Cache {
     /// evicting in between) replays them through [`Cache::touch_rounds`]
     /// instead of re-running the lookup — the `Stall(n-1)` half of the
     /// execute-once-then-stall interface.
+    ///
+    /// Only the most-recently-used-way probe is inlined, so a hit on it
+    /// keeps its result in registers; the set scan and the fill are one
+    /// out-of-line body (DESIGN §10.8).
+    #[inline]
     pub fn access_entry(&mut self, a: Addr, write: bool) -> (Lookup, u32, u32) {
         self.tick += 1;
         let (set, tag) = self.set_and_tag(a);
         debug_assert_ne!(tag, TAG_INVALID, "address collides with the sentinel");
-        let base = set * self.cfg.ways;
-
         // Hit path: most-recently-used way first (tags are unique within
         // a set, so probe order cannot change the outcome).
         let m = self.mru[set] as usize;
-        if self.tags[base + m] == tag {
-            let i = base + m;
+        let i = set * self.cfg.ways + m;
+        if self.tags[i] == tag {
             self.stamp[i] = self.tick;
             if write {
                 self.dirty[i] = true;
@@ -172,14 +172,20 @@ impl Cache {
             self.stats.hits += 1;
             return (Lookup::Hit, set as u32, m as u32);
         }
+        self.scan_or_fill(set, tag, write)
+    }
 
-        // One fused scan finds the hit way, the first invalid way, and
-        // the LRU victim — a thrashing workload (every line a miss, the
-        // shape STREAM beyond the LLC produces) would otherwise walk the
-        // set twice. Victim choice is bit-identical to the classic
-        // two-pass form: a hit needs no victim, an invalid way preempts
-        // eviction, and the LRU stamp comparison only ever saw the ways
-        // before the first invalid one (the old scan broke there).
+    /// The rest of [`Cache::access_entry`] after an MRU-way miss, at the
+    /// same `tick`. One fused scan finds the hit way, the first invalid
+    /// way, and the LRU victim — a thrashing workload (every line a miss,
+    /// the shape STREAM beyond the LLC produces) would otherwise walk the
+    /// set twice. Victim choice is bit-identical to the classic two-pass
+    /// form: a hit needs no victim, an invalid way preempts eviction, and
+    /// the LRU stamp comparison only ever saw the ways before the first
+    /// invalid one (the old scan broke there).
+    #[inline(never)]
+    fn scan_or_fill(&mut self, set: usize, tag: u64, write: bool) -> (Lookup, u32, u32) {
+        let base = set * self.cfg.ways;
         let mut hit_way = None;
         let mut first_invalid = None;
         let mut victim = base;
@@ -225,7 +231,7 @@ impl Cache {
                 self.stats.writebacks += 1;
                 // Reconstruct the victim's address.
                 let old_tag = self.tags[victim];
-                let lineno = (old_tag << self.cfg.sets.trailing_zeros()) | set as u64;
+                let lineno = (old_tag << self.set_shift) | set as u64;
                 writeback = Some(Addr(lineno << self.line_shift));
             }
         }
@@ -236,21 +242,6 @@ impl Cache {
         let way = (victim - base) as u32;
         self.mru[set] = way;
         (Lookup::Miss { writeback }, set as u32, way)
-    }
-
-    /// [`Cache::access_entry`] stamped with the virtual time of the
-    /// access, so the miss rate is reported as a windowed utilization
-    /// counter (`mem.llc_miss_rate`: misses / accesses per window).
-    pub fn access_at_entry(
-        &mut self,
-        at: thymesim_sim::Time,
-        a: Addr,
-        write: bool,
-    ) -> (Lookup, u32, u32) {
-        let r = self.access_entry(a, write);
-        let miss = matches!(r.0, Lookup::Miss { .. });
-        thymesim_telemetry::counter_ratio(LLC_MISS_RATE, at, miss as u64, 1);
-        r
     }
 
     /// Replay `rounds` round-robin passes over a group of resident lines
@@ -314,6 +305,144 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Cache {
+        /// Oracle for the split lookup: `access_entry` as one body, MRU
+        /// probe, fused scan and fill together, exactly as it was before
+        /// the probe was inlined and the rest moved out of line.
+        fn access_entry_reference(&mut self, a: Addr, write: bool) -> (Lookup, u32, u32) {
+            self.tick += 1;
+            let (set, tag) = self.set_and_tag(a);
+            let base = set * self.cfg.ways;
+            let m = self.mru[set] as usize;
+            if self.tags[base + m] == tag {
+                let i = base + m;
+                self.stamp[i] = self.tick;
+                if write {
+                    self.dirty[i] = true;
+                }
+                self.stats.hits += 1;
+                return (Lookup::Hit, set as u32, m as u32);
+            }
+            let mut hit_way = None;
+            let mut first_invalid = None;
+            let mut victim = base;
+            let mut victim_stamp = u64::MAX;
+            for w in 0..self.cfg.ways {
+                let i = base + w;
+                let t = self.tags[i];
+                if t == tag {
+                    hit_way = Some(w);
+                    break;
+                }
+                if t == TAG_INVALID {
+                    if first_invalid.is_none() {
+                        first_invalid = Some(i);
+                    }
+                } else if first_invalid.is_none() && self.stamp[i] < victim_stamp {
+                    victim_stamp = self.stamp[i];
+                    victim = i;
+                }
+            }
+            if let Some(w) = hit_way {
+                let i = base + w;
+                self.stamp[i] = self.tick;
+                if write {
+                    self.dirty[i] = true;
+                }
+                self.mru[set] = w as u32;
+                self.stats.hits += 1;
+                return (Lookup::Hit, set as u32, w as u32);
+            }
+            self.stats.misses += 1;
+            let found_invalid = first_invalid.is_some();
+            if let Some(i) = first_invalid {
+                victim = i;
+            }
+            let mut writeback = None;
+            if !found_invalid {
+                self.stats.evictions += 1;
+                if self.dirty[victim] {
+                    self.stats.writebacks += 1;
+                    let old_tag = self.tags[victim];
+                    let lineno = (old_tag << self.cfg.sets.trailing_zeros()) | set as u64;
+                    writeback = Some(Addr(lineno << self.line_shift));
+                }
+            }
+            self.tags[victim] = tag;
+            self.dirty[victim] = write;
+            self.stamp[victim] = self.tick;
+            let way = (victim - base) as u32;
+            self.mru[set] = way;
+            (Lookup::Miss { writeback }, set as u32, way)
+        }
+    }
+
+    proptest! {
+        /// The inlined MRU probe plus the out-of-line scan/fill returns
+        /// every `(Lookup, set, way)` of the one-body reference and
+        /// leaves the same counters, tags, stamps, dirty bits and MRU
+        /// hints, over 1, 2, 8 and 15 ways (15 is the POWER9 LLC), 1, 4
+        /// and 64 sets, 64- and 128-byte lines, with writes and
+        /// `touch_rounds` replays interleaved. Each op packs
+        /// `(write, kind, pick)`: kind 0–3 re-accesses the line of the
+        /// kind-th most recent access (MRU and non-MRU hits), 4–7 a
+        /// random line among `ways + 2` per set of up to three sets spread
+        /// over the index (misses, evictions, write-backs), and 6–7 then
+        /// also replay the last one to three handles for one to three
+        /// rounds.
+        #[test]
+        fn prop_split_lookup_matches_the_reference(
+            geometry in 0usize..24,
+            ops in proptest::collection::vec(any::<u64>(), 1..1500),
+        ) {
+            let ways = [1usize, 2, 8, 15][geometry % 4];
+            let sets = [1usize, 4, 64][geometry / 4 % 3];
+            let line = [64u64, 128][geometry / 12];
+            let cfg = CacheConfig { sets, ways, line };
+            let mut fast = Cache::new(cfg);
+            let mut reference = Cache::new(cfg);
+            let (tags, hot_sets) = ((ways + 2) as u64, sets.min(3) as u64);
+            // (address, write, set, way) of every access so far.
+            let mut history: Vec<(Addr, bool, u32, u32)> = Vec::new();
+            for (step, &op) in ops.iter().enumerate() {
+                let (write, kind, pick) = (op & 1 == 1, (op >> 1 & 7) as u8, op >> 4);
+                let a = match history.len().checked_sub(1 + kind as usize) {
+                    Some(back) if kind < 4 => history[back].0,
+                    _ => {
+                        let set = (pick >> 24) % hot_sets * (sets as u64 / hot_sets);
+                        Addr(((pick % tags) * sets as u64 + set) * line + (pick >> 32) % line)
+                    }
+                };
+                let got = fast.access_entry(a, write);
+                let want = reference.access_entry_reference(a, write);
+                prop_assert_eq!(got, want, "step {}", step);
+                prop_assert_eq!(fast.stats, reference.stats, "step {}", step);
+                history.push((a, write, got.1, got.2));
+                if kind >= 6 {
+                    // The most recent handles still resident, one per way.
+                    let mut group: Vec<(u32, u32, bool)> = Vec::new();
+                    for &(a, w, set, way) in history.iter().rev().take(1 + (pick % 3) as usize) {
+                        if fast.resident_at(a, set, way)
+                            && !group.iter().any(|&(s, wy, _)| (s, wy) == (set, way))
+                        {
+                            group.push((set, way, w));
+                        }
+                    }
+                    let rounds = 1 + (pick >> 8) % 3;
+                    fast.touch_rounds(group.iter().copied(), rounds);
+                    reference.touch_rounds(group.iter().copied(), rounds);
+                }
+            }
+            prop_assert_eq!(fast.stats, reference.stats);
+            prop_assert_eq!(fast.tick, reference.tick);
+            prop_assert_eq!(&fast.tags, &reference.tags);
+            prop_assert_eq!(&fast.stamp, &reference.stamp);
+            prop_assert_eq!(&fast.dirty, &reference.dirty);
+            prop_assert_eq!(&fast.mru, &reference.mru);
+        }
+    }
 
     fn tiny() -> Cache {
         Cache::new(CacheConfig {

@@ -9,10 +9,13 @@
 
 use crate::addr::{Addr, AddressMap, Region};
 use crate::backing::Backing;
-use crate::cache::{Cache, CacheConfig, Lookup, LLC_MISS_RATE};
+use crate::cache::{Cache, CacheConfig, Lookup};
 use crate::dram::SharedDram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use thymesim_sim::{Dur, Histogram, Time};
+
+/// The windowed miss-rate track every timed LLC access deposits into.
+const LLC_MISS_RATE: &str = "mem.llc_miss_rate";
 
 /// Process-wide count of timed memory accesses, flushed once per
 /// [`MemSystem`] lifetime (on drop) so the hot path never touches it.
@@ -173,6 +176,10 @@ impl<R: RemoteBackend> MemSystem<R> {
     /// replays them through [`MemSystem::retouch_rounds_at`] — same
     /// counters, same telemetry, no repeated lookup, decode, or region
     /// dispatch.
+    ///
+    /// Inlined up to the LLC lookup, so an LLC hit never leaves the
+    /// caller; a miss continues in [`MemSystem::miss`].
+    #[inline]
     pub fn access_entry(&mut self, at: Time, addr: Addr, write: bool) -> (Time, bool, LineTouch) {
         if write {
             self.stats.writes += 1;
@@ -180,66 +187,73 @@ impl<R: RemoteBackend> MemSystem<R> {
             self.stats.reads += 1;
         }
         let line = self.map.line_of(addr);
-        let (lookup, set, way) = self.cache.access_at_entry(at, line, write);
+        let (lookup, set, way) = self.cache.access_entry(line, write);
         let touch = LineTouch { set, way };
+        let missed = matches!(lookup, Lookup::Miss { .. });
+        thymesim_telemetry::counter_ratio(LLC_MISS_RATE, at, missed as u64, 1);
         match lookup {
             Lookup::Hit => (at + self.timing.llc_hit, false, touch),
-            Lookup::Miss { writeback } => {
-                // Retire the victim first (posted; costs bandwidth, not
-                // demand latency).
-                if let Some(victim) = writeback {
-                    match self.map.region(victim) {
-                        Region::Local => {
-                            self.stats.local_writebacks += 1;
-                            thymesim_telemetry::add("mem.local_writebacks", 1);
-                            let line = self.map.line;
-                            self.local.borrow_mut().access(at, victim, line);
-                        }
-                        Region::Remote => {
-                            self.stats.remote_writebacks += 1;
-                            thymesim_telemetry::add("mem.remote_writebacks", 1);
-                            self.remote.writeback_line(at, victim);
-                        }
-                    }
+            Lookup::Miss { writeback } => (
+                self.miss(at, line, writeback) + self.timing.llc_hit,
+                true,
+                touch,
+            ),
+        }
+    }
+
+    /// The miss half of [`MemSystem::access_entry`]: retire the dirty
+    /// victim, if any, then fetch `line`; returns when the line is filled.
+    #[inline(never)]
+    fn miss(&mut self, at: Time, line: Addr, writeback: Option<Addr>) -> Time {
+        // Retire the victim first (posted; costs bandwidth, not demand
+        // latency).
+        if let Some(victim) = writeback {
+            match self.map.region(victim) {
+                Region::Local => {
+                    self.stats.local_writebacks += 1;
+                    thymesim_telemetry::add("mem.local_writebacks", 1);
+                    let line = self.map.line;
+                    self.local.borrow_mut().access(at, victim, line);
                 }
-                // Fetch the demanded line.
-                let filled = match self.map.region(line) {
-                    Region::Local => {
-                        self.stats.local_miss += 1;
-                        let line_bytes = self.map.line;
-                        let done = self.local.borrow_mut().access(at, line, line_bytes).done;
-                        self.stats.local_latency.record((done - at).as_ps());
-                        thymesim_telemetry::latency("mem.local_miss", done - at);
-                        done
-                    }
-                    Region::Remote => {
-                        self.stats.remote_miss += 1;
-                        let done = self.remote.fetch_line(at, line);
-                        self.stats.remote_latency.record((done - at).as_ps());
-                        thymesim_telemetry::latency("mem.remote_miss", done - at);
-                        done
-                    }
-                };
-                // Sampled hit/miss/eviction counters: emitted every 256
-                // misses so even huge runs keep a bounded timeline. The
-                // LLC-hit path itself stays probe-free — it is the
-                // hottest path in the simulator.
-                if thymesim_telemetry::enabled() {
-                    let misses = self.stats.local_miss + self.stats.remote_miss;
-                    if misses.is_multiple_of(256) {
-                        let c = self.cache.stats;
-                        thymesim_telemetry::counter("mem.cache_hits", filled, c.hits as f64);
-                        thymesim_telemetry::counter("mem.cache_misses", filled, c.misses as f64);
-                        thymesim_telemetry::counter(
-                            "mem.cache_evictions",
-                            filled,
-                            c.evictions as f64,
-                        );
-                    }
+                Region::Remote => {
+                    self.stats.remote_writebacks += 1;
+                    thymesim_telemetry::add("mem.remote_writebacks", 1);
+                    self.remote.writeback_line(at, victim);
                 }
-                (filled + self.timing.llc_hit, true, touch)
             }
         }
+        // Fetch the demanded line.
+        let filled = match self.map.region(line) {
+            Region::Local => {
+                self.stats.local_miss += 1;
+                let line_bytes = self.map.line;
+                let done = self.local.borrow_mut().access(at, line, line_bytes).done;
+                self.stats.local_latency.record((done - at).as_ps());
+                thymesim_telemetry::latency("mem.local_miss", done - at);
+                done
+            }
+            Region::Remote => {
+                self.stats.remote_miss += 1;
+                let done = self.remote.fetch_line(at, line);
+                self.stats.remote_latency.record((done - at).as_ps());
+                thymesim_telemetry::latency("mem.remote_miss", done - at);
+                done
+            }
+        };
+        // Sampled hit/miss/eviction counters: emitted every 256 misses so
+        // even huge runs keep a bounded timeline. The LLC-hit path itself
+        // carries only the miss-rate probe — it is the hottest path in
+        // the simulator.
+        if thymesim_telemetry::enabled() {
+            let misses = self.stats.local_miss + self.stats.remote_miss;
+            if misses.is_multiple_of(256) {
+                let c = self.cache.stats;
+                thymesim_telemetry::counter("mem.cache_hits", filled, c.hits as f64);
+                thymesim_telemetry::counter("mem.cache_misses", filled, c.misses as f64);
+                thymesim_telemetry::counter("mem.cache_evictions", filled, c.evictions as f64);
+            }
+        }
+        filled
     }
 
     /// Is the line containing `addr` still resident where `touch`

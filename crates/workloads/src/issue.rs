@@ -35,6 +35,7 @@ impl IssueRing {
 
     /// Earliest time a new access may issue, given the core is ready at
     /// `cpu_ready`.
+    #[inline]
     pub fn issue_at(&self, cpu_ready: Time) -> Time {
         if self.ring.len() < self.cap {
             cpu_ready
@@ -44,6 +45,7 @@ impl IssueRing {
     }
 
     /// Record a completed issue (retires the oldest slot when full).
+    #[inline]
     pub fn push(&mut self, done: Time) {
         if self.ring.len() == self.cap {
             self.ring.pop_front();
