@@ -223,6 +223,16 @@ impl Backing {
         }
     }
 
+    /// Borrow `n` bytes at `a` in place, or `None` where the page was
+    /// never written (it reads as zeros). The span must not cross a
+    /// 64 KiB page: a 128-byte-aligned line never does.
+    #[inline]
+    pub fn bytes(&self, a: Addr, n: usize) -> Option<&[u8]> {
+        let off = (a.0 as usize) & (PAGE_SIZE - 1);
+        debug_assert!(off + n <= PAGE_SIZE, "span crosses a page");
+        self.page(a.0 >> PAGE_SHIFT).map(|p| &p[off..off + n])
+    }
+
     /// Read a run of consecutive `f64`s; unallocated memory reads as
     /// zero. One page walk per covered page instead of one per element —
     /// the data-op half of a bulk-stalled STREAM line-step.
@@ -372,6 +382,22 @@ mod tests {
         b.read_bytes(base, &mut out);
         assert_eq!(out, data);
         assert_eq!(b.resident_bytes(), 2 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn in_page_view_borrows_the_bytes() {
+        let mut b = Backing::with_ranges(&[(0, 4 * PAGE_SIZE as u64)]);
+        let line = Addr(PAGE_SIZE as u64 - 128);
+        assert_eq!(b.bytes(line, 128), None, "unwritten page has no view");
+        b.write_bytes(line, &[7u8; 128]);
+        assert_eq!(b.bytes(line, 128), Some(&[7u8; 128][..]));
+        assert_eq!(b.resident_bytes(), PAGE_SIZE);
+        // Outside the dense range the overflow tier serves the same view.
+        b.write_u8(Addr((1 << 40) + 3), 9);
+        assert_eq!(
+            b.bytes(Addr(1 << 40), 8),
+            Some(&[0, 0, 0, 9, 0, 0, 0, 0][..])
+        );
     }
 
     #[test]

@@ -545,6 +545,53 @@ mod tests {
         assert!(r.data_ok);
     }
 
+    /// E17's overloaded points, pinned to the last picosecond. No golden
+    /// fixture covers the open-loop engine (the corpus pins Table I's
+    /// closed-loop KV), so any change to the engine or to the KV store's
+    /// timed access order that moves simulated time fails here.
+    #[test]
+    fn overloaded_points_are_pinned() {
+        let default_sets = ServeConfig::tiny().set_ratio;
+        let throttle = AdmissionPolicy::Throttle {
+            queue_cap: 4,
+            backoff: Dur::us(50),
+        };
+        // (policy, set_ratio) → [arrivals, admitted, dropped, gets, sets,
+        // sojourn sum, sojourn p999, queue-wait sum, last_done] in ps.
+        #[rustfmt::skip]
+        let cases: [(AdmissionPolicy, f64, [u128; 9]); 5] = [
+            (AdmissionPolicy::Open, default_sets,
+             [240, 240, 0, 221, 19, 3_421_584_083, 38_797_312, 2_879_833_641, 572_702_972]),
+            (AdmissionPolicy::Drop { queue_cap: 4 }, default_sets,
+             [240, 218, 22, 199, 19, 1_356_850_591, 11_796_480, 862_809_387, 572_702_972]),
+            (throttle, default_sets,
+             [240, 240, 0, 221, 19, 1_198_876_714_804, 10_468_982_784, 1_198_334_964_362, 11_164_808_979]),
+            (AdmissionPolicy::Priority { queue_cap: 4 }, default_sets,
+             [240, 219, 21, 200, 19, 1_397_926_669, 13_893_632, 901_255_411, 572_702_972]),
+            (AdmissionPolicy::Open, 0.5,
+             [240, 240, 0, 127, 113, 3_435_804_083, 38_797_312, 2_893_677_641, 572_714_972]),
+        ];
+        for (policy, set_ratio, want) in cases {
+            let mut cfg = ServeConfig::tiny().with_offered_rate(400_000.0);
+            cfg.policy = policy;
+            cfg.set_ratio = set_ratio;
+            let r = run(cfg);
+            assert!(r.data_ok, "{} at set_ratio {set_ratio}", policy.label());
+            let got = [
+                r.arrivals as u128,
+                r.admitted as u128,
+                r.dropped as u128,
+                r.gets as u128,
+                r.sets as u128,
+                r.sojourn.sum(),
+                r.sojourn.p999() as u128,
+                r.queue_wait.sum(),
+                r.last_done.as_ps() as u128,
+            ];
+            assert_eq!(got, want, "{} at set_ratio {set_ratio}", policy.label());
+        }
+    }
+
     #[test]
     fn report_rates_are_sane() {
         let cfg = ServeConfig::tiny().with_offered_rate(10_000.0);

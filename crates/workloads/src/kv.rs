@@ -114,13 +114,50 @@ fn hash_key(key: u64) -> u64 {
     SplitMix64::new(key).next_u64()
 }
 
-/// Deterministic value pattern for key/version.
+/// Value bytes one timed access covers. Entries are aligned to it, so
+/// a value line never crosses a backing page.
+const VALUE_LINE: u64 = 128;
+
+/// First byte of the value pattern for key/version. Byte `o` of the
+/// value is `pattern_first(key, version).wrapping_add(o as u8)`: the
+/// pattern is affine in the offset, and truncating to `u8` commutes with
+/// the addition.
 #[inline]
-fn pattern_byte(key: u64, version: u64, offset: u64) -> u8 {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(version.rotate_left(17))
-        .wrapping_add(offset)) as u8
+fn pattern_first(key: u64, version: u64) -> u8 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(version.rotate_left(17)) as u8
 }
+
+/// Fill `out` with the pattern run that starts at `first`.
+#[inline]
+fn fill_run(out: &mut [u8], first: u8) {
+    for (i, b) in out.iter_mut().enumerate() {
+        *b = first.wrapping_add(i as u8);
+    }
+}
+
+/// Whether `line` holds the pattern run that starts at `first`. Every
+/// byte is compared; the OR-of-XOR fold has no branch, so it vectorizes.
+#[inline]
+fn run_matches(line: &[u8], first: u8) -> bool {
+    line.iter()
+        .enumerate()
+        .fold(0, |acc, (i, &b)| acc | (b ^ first.wrapping_add(i as u8)))
+        == 0
+}
+
+/// `(offset, length)` of each line of a `len`-byte span: full lines and
+/// a short tail.
+#[inline]
+fn lines(len: u64) -> impl Iterator<Item = (u64, usize)> {
+    (0..len)
+        .step_by(VALUE_LINE as usize)
+        .map(move |off| (off, (len - off).min(VALUE_LINE) as usize))
+}
+
+/// What a line on a never-written page reads as; also the bucket
+/// table's initial contents.
+static ZERO_LINE: [u8; VALUE_LINE as usize] = [0; VALUE_LINE as usize];
 
 impl KvStore {
     /// Build and populate the store (untimed, like a restored snapshot).
@@ -131,29 +168,29 @@ impl KvStore {
     ) -> KvStore {
         let cap = (cfg.keys * 2).next_power_of_two();
         let buckets: SimVec<u64> = arena.alloc_vec(cap);
-        for i in 0..cap {
-            buckets.set_raw(sys, i, 0);
+        // Zeroed a line at a time: the same pages per-bucket stores
+        // would commit, without a table-sized temporary.
+        for (off, n) in lines(cap * 8) {
+            sys.backing_mut()
+                .write_bytes(buckets.base().offset(off), &ZERO_LINE[..n]);
         }
         let mut store = KvStore {
             buckets,
             mask: cap - 1,
             entries: 0,
         };
-        let entry_sz = ENTRY_HEADER_BYTES + cfg.value_bytes.next_multiple_of(128);
+        let entry_sz = ENTRY_HEADER_BYTES + cfg.value_bytes.next_multiple_of(VALUE_LINE);
+        // One value buffer, refilled per key and written in one copy.
+        let mut val = vec![0u8; cfg.value_bytes as usize];
         for key in 0..cfg.keys {
-            let ea = arena.alloc(entry_sz, 128);
+            let ea = arena.alloc(entry_sz, VALUE_LINE);
             let h = hash_key(key) & store.mask;
             let head = store.buckets.get_raw(sys, h);
             // Header: [key][next][vlen][version]
-            sys.backing_mut().write_u64(ea, key);
-            sys.backing_mut().write_u64(ea.offset(8), head);
-            sys.backing_mut().write_u64(ea.offset(16), cfg.value_bytes);
-            sys.backing_mut().write_u64(ea.offset(24), 0);
+            let header = [key, head, cfg.value_bytes, 0].map(u64::to_le_bytes);
+            sys.backing_mut().write_bytes(ea, header.as_flattened());
             store.buckets.set_raw(sys, h, ea.0);
-            let mut val = vec![0u8; cfg.value_bytes as usize];
-            for (o, b) in val.iter_mut().enumerate() {
-                *b = pattern_byte(key, 0, o as u64);
-            }
+            fill_run(&mut val, pattern_first(key, 0));
             sys.backing_mut()
                 .write_bytes(ea.offset(ENTRY_HEADER_BYTES), &val);
             store.entries += 1;
@@ -191,23 +228,20 @@ impl KvStore {
         let (ea, t) = self.lookup(sys, at, key);
         let vlen = sys.backing().read_u64(ea.offset(16));
         let version = sys.backing().read_u64(ea.offset(24));
-        // Stream the value with a prefetch window.
+        // Stream the value with a prefetch window, checking each line in
+        // place.
         let mut core = Core::new(mlp, t);
         let base = ea.offset(ENTRY_HEADER_BYTES);
+        let first = pattern_first(key, version);
         let mut ok = true;
-        let mut off = 0;
-        let mut buf = [0u8; 128];
-        while off < vlen {
+        for (off, n) in lines(vlen) {
             let at = core.slot();
             core.hold(sys.access(at, base.offset(off), false));
-            let n = (vlen - off).min(128) as usize;
-            sys.backing().read_bytes(base.offset(off), &mut buf[..n]);
-            for (i, &b) in buf[..n].iter().enumerate() {
-                if b != pattern_byte(key, version, off + i as u64) {
-                    ok = false;
-                }
-            }
-            off += 128;
+            let line = sys
+                .backing()
+                .bytes(base.offset(off), n)
+                .unwrap_or(&ZERO_LINE[..n]);
+            ok &= run_matches(line, first.wrapping_add(off as u8));
         }
         (ok, core.end())
     }
@@ -227,17 +261,13 @@ impl KvStore {
         let vlen = sys.backing().read_u64(ea.offset(16));
         let base = ea.offset(ENTRY_HEADER_BYTES);
         let mut core = Core::new(mlp, t);
-        let mut off = 0;
-        while off < vlen {
+        let first = pattern_first(key, version);
+        let mut line = [0u8; VALUE_LINE as usize];
+        for (off, n) in lines(vlen) {
             let at = core.slot();
             core.hold(sys.access(at, base.offset(off), true));
-            let n = (vlen - off).min(128) as usize;
-            let mut chunk = [0u8; 128];
-            for (i, b) in chunk[..n].iter_mut().enumerate() {
-                *b = pattern_byte(key, version, off + i as u64);
-            }
-            sys.backing_mut().write_bytes(base.offset(off), &chunk[..n]);
-            off += 128;
+            fill_run(&mut line[..n], first.wrapping_add(off as u8));
+            sys.backing_mut().write_bytes(base.offset(off), &line[..n]);
         }
         core.end()
     }
@@ -562,5 +592,203 @@ mod tests {
             assert!(ok, "key {key}");
             t = tt;
         }
+    }
+
+    /// The value pattern byte by byte, as the store first defined it.
+    fn pattern_byte(key: u64, version: u64, offset: u64) -> u8 {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(version.rotate_left(17))
+            .wrapping_add(offset)) as u8
+    }
+
+    /// The per-bucket, per-byte `build` body the line fills replaced.
+    fn build_reference<R: RemoteBackend>(
+        cfg: &KvConfig,
+        sys: &mut MemSystem<R>,
+        arena: &mut Arena,
+    ) -> KvStore {
+        let cap = (cfg.keys * 2).next_power_of_two();
+        let buckets: SimVec<u64> = arena.alloc_vec(cap);
+        for i in 0..cap {
+            buckets.set_raw(sys, i, 0);
+        }
+        let mut store = KvStore {
+            buckets,
+            mask: cap - 1,
+            entries: 0,
+        };
+        let entry_sz = ENTRY_HEADER_BYTES + cfg.value_bytes.next_multiple_of(128);
+        for key in 0..cfg.keys {
+            let ea = arena.alloc(entry_sz, 128);
+            let h = hash_key(key) & store.mask;
+            let head = store.buckets.get_raw(sys, h);
+            sys.backing_mut().write_u64(ea, key);
+            sys.backing_mut().write_u64(ea.offset(8), head);
+            sys.backing_mut().write_u64(ea.offset(16), cfg.value_bytes);
+            sys.backing_mut().write_u64(ea.offset(24), 0);
+            store.buckets.set_raw(sys, h, ea.0);
+            let mut val = vec![0u8; cfg.value_bytes as usize];
+            for (o, b) in val.iter_mut().enumerate() {
+                *b = pattern_byte(key, 0, o as u64);
+            }
+            sys.backing_mut()
+                .write_bytes(ea.offset(ENTRY_HEADER_BYTES), &val);
+            store.entries += 1;
+        }
+        store
+    }
+
+    /// The per-byte `set` body the line fills replaced.
+    fn set_reference<R: RemoteBackend>(
+        store: &KvStore,
+        sys: &mut MemSystem<R>,
+        at: Time,
+        key: u64,
+        mlp: usize,
+    ) -> Time {
+        let (ea, t) = store.lookup(sys, at, key);
+        let version = sys.backing().read_u64(ea.offset(24)) + 1;
+        let t = sys.access(t, ea, true);
+        sys.backing_mut().write_u64(ea.offset(24), version);
+        let vlen = sys.backing().read_u64(ea.offset(16));
+        let base = ea.offset(ENTRY_HEADER_BYTES);
+        let mut core = Core::new(mlp, t);
+        let mut off = 0;
+        while off < vlen {
+            let at = core.slot();
+            core.hold(sys.access(at, base.offset(off), true));
+            let n = (vlen - off).min(128) as usize;
+            let mut chunk = [0u8; 128];
+            for (i, b) in chunk[..n].iter_mut().enumerate() {
+                *b = pattern_byte(key, version, off + i as u64);
+            }
+            sys.backing_mut().write_bytes(base.offset(off), &chunk[..n]);
+            off += 128;
+        }
+        core.end()
+    }
+
+    /// `key`'s entry address, found without a timed access.
+    fn entry(store: &KvStore, s: &MemSystem<NoRemote>, key: u64) -> Addr {
+        let mut cursor = store.buckets.get_raw(s, hash_key(key) & store.mask);
+        while s.backing().read_u64(Addr(cursor)) != key {
+            cursor = s.backing().read_u64(Addr(cursor).offset(8));
+        }
+        Addr(cursor)
+    }
+
+    /// Every byte below `end`, and the committed host memory.
+    fn contents(s: &MemSystem<NoRemote>, end: u64) -> (Vec<u8>, usize) {
+        let mut bytes = vec![0u8; end as usize];
+        s.backing().read_bytes(Addr(0), &mut bytes);
+        (bytes, s.backing().resident_bytes())
+    }
+
+    #[test]
+    fn line_bodies_match_the_per_byte_references() {
+        // 64 keys in 128 buckets: chains collide. 4096-byte values wrap
+        // the pattern past 256 within a value; 100 and 300 end in a
+        // short line. On fresh pages the builds must commit the same
+        // pages; over stale bytes they must overwrite the same bytes.
+        for (value_bytes, stale) in [100, 128, 300, 1024, 4096]
+            .into_iter()
+            .flat_map(|v| [(v, false), (v, true)])
+        {
+            let cfg = KvConfig {
+                keys: 64,
+                value_bytes,
+                ..KvConfig::tiny()
+            };
+            let (mut fast, mut slow) = (sys(), sys());
+            if stale {
+                let junk: Vec<u8> = (0..1u32 << 20).map(|i| (i * 7 + 1) as u8).collect();
+                fast.backing_mut().write_bytes(Addr(0), &junk);
+                slow.backing_mut().write_bytes(Addr(0), &junk);
+            }
+            let mut fast_arena = Arena::new(Addr(0), 256 << 20);
+            let mut slow_arena = fast_arena;
+            let fast_store = KvStore::build(&cfg, &mut fast, &mut fast_arena);
+            let slow_store = build_reference(&cfg, &mut slow, &mut slow_arena);
+            let end = fast_arena.used();
+            assert_eq!(end, slow_arena.used());
+            assert!(
+                contents(&fast, end) == contents(&slow, end),
+                "build differs at value_bytes {value_bytes}"
+            );
+            let mut rng = Xoshiro256::seed_from_u64(value_bytes);
+            let (mut t_fast, mut t_slow) = (Time::ZERO, Time::ZERO);
+            for _ in 0..200 {
+                let key = rng.below(cfg.keys);
+                if rng.chance(0.5) {
+                    // The pattern's version term never reaches the low
+                    // byte, so a SET rewrites the bytes already there:
+                    // scribble first, so a byte it skips shows.
+                    let junk = vec![0xA5; value_bytes as usize];
+                    for (s, store) in [(&mut fast, &fast_store), (&mut slow, &slow_store)] {
+                        let value = entry(store, s, key).offset(ENTRY_HEADER_BYTES);
+                        s.backing_mut().write_bytes(value, &junk);
+                    }
+                    t_fast = fast_store.set(&mut fast, t_fast, key, 4);
+                    t_slow = set_reference(&slow_store, &mut slow, t_slow, key, 4);
+                } else {
+                    let (ok_fast, t) = fast_store.get(&mut fast, t_fast, key, 4);
+                    t_fast = t;
+                    let (ok_slow, t) = slow_store.get(&mut slow, t_slow, key, 4);
+                    t_slow = t;
+                    assert!(ok_fast && ok_slow, "key {key}, value_bytes {value_bytes}");
+                }
+                assert_eq!(t_fast, t_slow, "key {key}, value_bytes {value_bytes}");
+            }
+            assert!(
+                contents(&fast, end) == contents(&slow, end),
+                "SETs differ at value_bytes {value_bytes}"
+            );
+        }
+    }
+
+    #[test]
+    fn get_rejects_any_corrupted_byte() {
+        // Two full lines and a 44-byte tail: first, middle and last byte
+        // of each.
+        let cfg = KvConfig {
+            value_bytes: 300,
+            ..KvConfig::tiny()
+        };
+        let (mut s, store) = setup(&cfg);
+        let key = 7;
+        let ea = entry(&store, &s, key);
+        for offset in [0, 64, 127, 128, 191, 255, 256, 278, 299] {
+            let a = ea.offset(ENTRY_HEADER_BYTES + offset);
+            let good = s.backing().read_u8(a);
+            s.backing_mut().write_u8(a, good ^ 0x01);
+            let (ok, _) = store.get(&mut s, Time::ZERO, key, 4);
+            assert!(!ok, "a corrupted byte at offset {offset} passed the check");
+            s.backing_mut().write_u8(a, good);
+            assert!(store.get(&mut s, Time::ZERO, key, 4).0);
+        }
+    }
+
+    #[test]
+    fn get_rejects_a_value_on_a_never_written_page() {
+        let cfg = KvConfig::tiny();
+        let (mut s, store) = setup(&cfg);
+        // Re-home key 3's header to the last line below 64 MiB, far above
+        // the built store: its value then starts on a page nothing wrote.
+        let key = 3;
+        let h = hash_key(key) & store.mask;
+        let ea = Addr((64 << 20) - ENTRY_HEADER_BYTES);
+        let head = store.buckets.get_raw(&s, h);
+        for (i, v) in [key, head, cfg.value_bytes, 0].into_iter().enumerate() {
+            s.backing_mut().write_u64(ea.offset(8 * i as u64), v);
+        }
+        store.buckets.set_raw(&mut s, h, ea.0);
+        let value = ea.offset(ENTRY_HEADER_BYTES);
+        assert_eq!(
+            s.backing().bytes(value, 128),
+            None,
+            "page must be unwritten"
+        );
+        let (ok, _) = store.get(&mut s, Time::ZERO, key, 4);
+        assert!(!ok, "an all-zero value passed the check");
     }
 }
